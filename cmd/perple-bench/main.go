@@ -17,7 +17,9 @@
 // parallelism). When a benchmark appears under several GOMAXPROCS
 // values, its entries are keyed "name/cpu=N" to keep the scaling curve's
 // points distinct; a benchmark measured at a single value keeps its
-// plain name, so ordinary runs produce the same keys as before.
+// plain name, so ordinary runs produce the same keys as before. A key
+// measured several times (go test -count N) records its median-ns/op
+// sample, with the sample count and the ns/op range beside it.
 //
 // With -check, instead of writing a summary the tool compares each
 // parsed entry's ns/op against the named baseline file and exits 1 if
@@ -35,6 +37,7 @@ import (
 	"os"
 	"regexp"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -51,6 +54,11 @@ type Entry struct {
 	NumCPU      int                `json:"num_cpu"`
 	Gomaxprocs  int                `json:"gomaxprocs"`
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
+	// Samples, NsPerOpMin and NsPerOpMax describe a repeated key's
+	// spread; a single-sample entry omits them.
+	Samples    int     `json:"samples,omitempty"`
+	NsPerOpMin float64 `json:"ns_per_op_min,omitempty"`
+	NsPerOpMax float64 `json:"ns_per_op_max,omitempty"`
 }
 
 // Summary is the committed JSON document. The host block stamps the
@@ -172,8 +180,9 @@ func parseStdin() ([]parsed, error) {
 
 // resolveKeys assigns each parsed line its summary key: the plain base
 // name, or base/cpu=N when the run measured the benchmark under more
-// than one GOMAXPROCS (a -cpu sweep). Later lines overwrite earlier
-// ones with the same key, matching go test's own last-wins reporting.
+// than one GOMAXPROCS (a -cpu sweep). Lines sharing a key are samples
+// of one benchmark; the entry is the median-ns/op sample (the lower
+// middle one for an even count).
 func resolveKeys(lines []parsed) map[string]Entry {
 	procsSeen := map[string]map[int]bool{}
 	for _, l := range lines {
@@ -182,13 +191,25 @@ func resolveKeys(lines []parsed) map[string]Entry {
 		}
 		procsSeen[l.base][l.procs] = true
 	}
-	benchmarks := make(map[string]Entry, len(lines))
+	samples := map[string][]Entry{}
 	for _, l := range lines {
 		key := l.base
 		if len(procsSeen[l.base]) > 1 {
 			key = fmt.Sprintf("%s/cpu=%d", l.base, l.procs)
 		}
-		benchmarks[key] = l.e
+		samples[key] = append(samples[key], l.e)
+	}
+	benchmarks := make(map[string]Entry, len(samples))
+	for key, es := range samples {
+		if len(es) == 1 {
+			benchmarks[key] = es[0]
+			continue
+		}
+		sort.SliceStable(es, func(i, j int) bool { return es[i].NsPerOp < es[j].NsPerOp })
+		e := es[(len(es)-1)/2]
+		e.Samples = len(es)
+		e.NsPerOpMin, e.NsPerOpMax = es[0].NsPerOp, es[len(es)-1].NsPerOp
+		benchmarks[key] = e
 	}
 	return benchmarks
 }

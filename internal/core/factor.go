@@ -22,11 +22,21 @@ import (
 // matrices. Counting such a set needs no frame walk:
 //
 //   - no pair matrices: the set is a rectangle; the count is the product
-//     of per-thread popcounts (the ISSUE's bitset-rectangle case);
+//     of per-thread popcounts;
 //   - TL ≤ 3 with pair matrices: one pass over the first thread's
 //     indices, intersecting matrix rows word-wise and popcounting —
 //     O(N²/64) per outer index at worst, against the odometer's N^TL
 //     frame evaluations.
+//
+// Building a pair matrix never visits its N² cells one at a time. Every
+// binary clause reduces to threshold atoms rowKey(i) ≤ colKey(j) (see
+// fillPairMatrix); each atom sorts both key arrays and sweeps once,
+// ANDing a running column bitset into every row, so the build costs
+// O(atoms·(N log N + N²/64)) — and the log factor drops, since keys
+// are small integers and a counting sort suffices. With the build
+// word-parallel, the TL=3 counting pass's per-(i0, i1) row intersection
+// against m12 is the next cost: O(N³/64) when all three pairs are
+// constrained.
 //
 // First-match-wins multi-outcome semantics are recovered by
 // inclusion–exclusion over the earlier outcomes' product-form sets:
@@ -39,7 +49,8 @@ import (
 // existential thread observed from three or more load threads (a
 // genuinely ternary clause), cross constraints with TL ≥ 4 (the counting
 // pass is specialized to TL ≤ 3), outcome sets too large for
-// inclusion–exclusion, and pair-matrix footprints past the memory
+// inclusion–exclusion, and pair-matrix footprints — per-outcome
+// matrices plus the inclusion–exclusion stack's — past the memory
 // guard. CountExhaustive remains the reference implementation; the
 // differential tests in factor_test.go hold the two bit-for-bit equal.
 
@@ -54,9 +65,12 @@ const (
 	maxFactorIETerms  = 1 << 14
 )
 
-// maxFactorMatrixBytes bounds the total pair-matrix footprint; counts
-// past it fall back to the odometer rather than allocating gigabytes.
-const maxFactorMatrixBytes = 64 << 20
+// maxFactorMatrixBytes bounds the total pair-matrix footprint: the
+// per-outcome matrices plus the inclusion–exclusion stack's
+// intersections. Counts past it fall back to the odometer rather than
+// allocating gigabytes. A variable only so tests can exercise the guard
+// at small N.
+var maxFactorMatrixBytes int64 = 64 << 20
 
 // ----- bitsets and bit matrices -----
 
@@ -113,35 +127,39 @@ func pairSlot(p, q int) int {
 // outcomePlan classifies one outcome's constraints by the frame
 // variables they couple. A nil plan means the outcome is not
 // factorizable and the whole counter falls back to the odometer.
+//
+// Every index list is resolved here, once per outcome, so the per-run
+// build never consults a map. Pair slots are keyed by their position
+// pair (p, q) with p < q (see pairSlot).
 type outcomePlan struct {
 	empty bool // Unsatisfiable: the empty set
 
-	// refPos[ci] is the frame position of constraint ci's ref thread.
-	refPos []int
 	// Constraint indices local to one position (EQZero and self bounds).
 	unaryEQ   [][]int
 	unarySelf [][]int
-	// Existential vars observed from exactly one position / one pair.
-	unaryExist [][]int
-	pairExist  [3][]int
-	// Cross rf/fr constraints per pair slot.
-	pairCross [3][]int
-	// existCons[v] lists the constraint indices targeting exist var v.
-	existCons map[int][]int
-
-	hasPairs bool
+	// unaryExist[p] holds, per existential var observed from position p
+	// only, the indices of that var's constraints.
+	unaryExist [][][]int
+	// Cross rf/fr constraints per pair slot, split by the position whose
+	// load they read: rowCross read p (a row-constant bound on q's index),
+	// colCross read q (a per-column bound on p's index).
+	rowCross, colCross [3][]int
+	// Existential vars observed from both positions of a pair slot.
+	pairExist [3][]existPair
 }
+
+// existPair is an existential var shared by a pair slot's two
+// positions, its constraint indices split by the position they read.
+type existPair struct{ p, q []int }
 
 // planOutcome builds the factorization plan, or nil when the outcome's
 // clause shape is not thread-separable into unary and pairwise parts.
 func planOutcome(pt *PerpetualTest, po *PerpetualOutcome) *outcomePlan {
 	tl := pt.TL()
 	plan := &outcomePlan{
-		refPos:     make([]int, len(po.Constraints)),
 		unaryEQ:    make([][]int, tl),
 		unarySelf:  make([][]int, tl),
-		unaryExist: make([][]int, tl),
-		existCons:  map[int][]int{},
+		unaryExist: make([][][]int, tl),
 	}
 	if po.Unsatisfiable {
 		plan.empty = true
@@ -155,7 +173,10 @@ func planOutcome(pt *PerpetualTest, po *PerpetualOutcome) *outcomePlan {
 	for _, v := range po.ExistVars {
 		isExist[v] = true
 	}
-	// existFrom[v] collects the distinct positions observing exist var v.
+	refPos := make([]int, len(po.Constraints))
+	// existCons[v] lists the constraints targeting exist var v, and
+	// existFrom[v] the distinct positions observing it.
+	existCons := map[int][]int{}
 	existFrom := map[int][]int{}
 
 	for ci := range po.Constraints {
@@ -164,12 +185,12 @@ func planOutcome(pt *PerpetualTest, po *PerpetualOutcome) *outcomePlan {
 		if !ok {
 			return nil // load from a non-frame thread: cannot happen, bail safely
 		}
-		plan.refPos[ci] = rp
+		refPos[ci] = rp
 		switch {
 		case con.Rel == EQZero:
 			plan.unaryEQ[rp] = append(plan.unaryEQ[rp], ci)
 		case isExist[con.Var]:
-			plan.existCons[con.Var] = append(plan.existCons[con.Var], ci)
+			existCons[con.Var] = append(existCons[con.Var], ci)
 			seen := false
 			for _, p := range existFrom[con.Var] {
 				if p == rp {
@@ -188,13 +209,13 @@ func planOutcome(pt *PerpetualTest, po *PerpetualOutcome) *outcomePlan {
 			if !ok || tl > 3 {
 				return nil
 			}
-			p, q := rp, vp
-			if p > q {
-				p, q = q, p
+			if rp < vp {
+				s := pairSlot(rp, vp)
+				plan.rowCross[s] = append(plan.rowCross[s], ci)
+			} else {
+				s := pairSlot(vp, rp)
+				plan.colCross[s] = append(plan.colCross[s], ci)
 			}
-			s := pairSlot(p, q)
-			plan.pairCross[s] = append(plan.pairCross[s], ci)
-			plan.hasPairs = true
 		}
 	}
 
@@ -205,24 +226,33 @@ func planOutcome(pt *PerpetualTest, po *PerpetualOutcome) *outcomePlan {
 			// Exist vars always carry at least one constraint; defensive.
 			return nil
 		case 1:
-			plan.unaryExist[from[0]] = append(plan.unaryExist[from[0]], v)
+			plan.unaryExist[from[0]] = append(plan.unaryExist[from[0]], existCons[v])
 		case 2:
 			if tl > 3 {
 				return nil
 			}
-			p, q := from[0], from[1]
-			if p > q {
-				p, q = q, p
+			p, q := min(from[0], from[1]), max(from[0], from[1])
+			var e existPair
+			for _, ci := range existCons[v] {
+				if refPos[ci] == p {
+					e.p = append(e.p, ci)
+				} else {
+					e.q = append(e.q, ci)
+				}
 			}
 			s := pairSlot(p, q)
-			plan.pairExist[s] = append(plan.pairExist[s], v)
-			plan.hasPairs = true
+			plan.pairExist[s] = append(plan.pairExist[s], e)
 		default:
 			// A genuinely ternary clause: not pairwise-decomposable.
 			return nil
 		}
 	}
 	return plan
+}
+
+// hasPair reports whether pair slot s carries any binary clause.
+func (plan *outcomePlan) hasPair(s int) bool {
+	return len(plan.rowCross[s]) > 0 || len(plan.colCross[s]) > 0 || len(plan.pairExist[s]) > 0
 }
 
 // factorPlans builds (and caches) the per-outcome plans. ok is false
@@ -273,10 +303,32 @@ type factorScratch struct {
 	// derives from its ref thread's iteration i.
 	ivLo, ivHi [][]int64
 
+	// Pair-matrix sweep scratch (see fillPairMatrix and sweep): one
+	// shared existential's per-side intervals, the threshold keys of the
+	// atom being applied, their sort orders and counting-sort buckets,
+	// and the running column set.
+	lp, hp, lq, hq     []int64
+	rowKey, colKey     []int
+	rowOrder, colOrder []int
+	buckets            []int
+	live               bitset
+	ivSlab             []int64 // backs lp, hp, lq, hq
+	keySlab            []int   // backs the keys, orders and buckets
+
 	// DFS intersection stack for inclusion–exclusion, one prodSet per
 	// depth, plus the row scratch of the counting loops.
 	stack  []prodSet
 	c1, c2 bitset
+
+	// Matrix-memory guard: budget is what maxFactorMatrixBytes leaves
+	// after the per-outcome matrices, and charged[d] marks the pair
+	// slots whose stack matrix at depth d this count already paid for.
+	budget  int64
+	charged []uint8
+
+	// Inclusion–exclusion accumulators of the current firstMatchCount.
+	ieTotal int64
+	ieTerms int
 }
 
 func resizeBitset(b bitset, words int) bitset {
@@ -297,40 +349,101 @@ func resizeInt64(s []int64, n int) []int64 {
 	return s[:n]
 }
 
-// buildStructures fills the per-outcome prodSets for this run's buffers.
-// ok=false means the pair-matrix footprint tripped the memory guard.
-func (c *Counter) buildStructures(bs *BufSet, plans []*outcomePlan) (*factorScratch, bool) {
-	n := bs.N
-	tl := c.pt.TL()
+// resizeMatrix returns an n×n matrix reusing m's rows when they fit.
+// The contents are unspecified; every caller overwrites each row.
+func resizeMatrix(m *bitMatrix, n, words int) *bitMatrix {
+	if m == nil || cap(m.rows) < n*words {
+		m = &bitMatrix{rows: make([]uint64, n*words)}
+	}
+	m.n, m.words = n, words
+	m.rows = m.rows[:n*words]
+	return m
+}
+
+// reset sizes every buffer the build writes for a run of n iterations
+// over the given outcomes, growing (never shrinking) the reusable
+// arrays, so the build itself only fills.
+func (sc *factorScratch) reset(n, tl int, plans []*outcomePlan, outcomes []*PerpetualOutcome) {
 	words := bitsetWords(n)
-	if c.fscratch == nil {
-		c.fscratch = &factorScratch{}
-	}
-	sc := c.fscratch
 	sc.n, sc.words = n, words
-
-	// Memory guard on the total matrix footprint.
-	var matBytes int64
-	for _, plan := range plans {
-		if plan.empty {
-			continue
-		}
-		for s := 0; s < 3; s++ {
-			if len(plan.pairCross[s]) > 0 || len(plan.pairExist[s]) > 0 {
-				matBytes += int64(n) * int64(words) * 8
-			}
-		}
-	}
-	if matBytes > maxFactorMatrixBytes {
-		return nil, false
-	}
-
 	if cap(sc.sets) < len(plans) {
 		sets := make([]prodSet, len(plans))
 		copy(sets, sc.sets)
 		sc.sets = sets
 	}
 	sc.sets = sc.sets[:len(plans)]
+	maxCons := 0
+	for oi, plan := range plans {
+		set := &sc.sets[oi]
+		if plan.empty {
+			continue
+		}
+		maxCons = max(maxCons, len(outcomes[oi].Constraints))
+		if cap(set.unary) < tl {
+			set.unary = make([]bitset, tl)
+		}
+		set.unary = set.unary[:tl]
+		for p := range set.unary {
+			set.unary[p] = resizeBitset(set.unary[p], words)
+		}
+		for s := range set.pair {
+			if plan.hasPair(s) {
+				set.pair[s] = resizeMatrix(set.pair[s], n, words)
+			} else {
+				set.pair[s] = nil
+			}
+		}
+	}
+	if len(sc.ivLo) < maxCons {
+		lo, hi := make([][]int64, maxCons), make([][]int64, maxCons)
+		copy(lo, sc.ivLo)
+		copy(hi, sc.ivHi)
+		sc.ivLo, sc.ivHi = lo, hi
+	}
+	for ci := 0; ci < maxCons; ci++ {
+		sc.ivLo[ci], sc.ivHi[ci] = resizeInt64(sc.ivLo[ci], n), resizeInt64(sc.ivHi[ci], n)
+	}
+	// The sweep arrays share two slabs: one allocation each when cold.
+	sc.ivSlab = resizeInt64(sc.ivSlab, 4*n)
+	sc.lp, sc.hp, sc.lq, sc.hq = sc.ivSlab[:n], sc.ivSlab[n:2*n], sc.ivSlab[2*n:3*n], sc.ivSlab[3*n:]
+	if cap(sc.keySlab) < 6*n+4 {
+		sc.keySlab = make([]int, 6*n+4)
+	}
+	keys := sc.keySlab[:6*n+4]
+	sc.rowKey, sc.colKey, sc.rowOrder, sc.colOrder = keys[:n], keys[n:2*n], keys[2*n:3*n], keys[3*n:4*n]
+	sc.buckets = keys[4*n:]
+	sc.live = resizeBitset(sc.live, words)
+	if cap(sc.charged) < len(plans) {
+		sc.charged = make([]uint8, len(plans))
+	}
+	sc.charged = sc.charged[:len(plans)]
+	clear(sc.charged)
+}
+
+// buildStructures fills the per-outcome prodSets for this run's buffers.
+// ok=false means the pair-matrix footprint tripped the memory guard.
+//
+//perple:hotpath cover=core-factor-build
+func (c *Counter) buildStructures(sc *factorScratch, bs *BufSet, plans []*outcomePlan) bool {
+	n := bs.N
+	tl := c.pt.TL()
+	words := bitsetWords(n)
+
+	// Memory guard on the total matrix footprint; what remains is the
+	// budget for inclusion–exclusion's stack matrices.
+	matBytes := int64(n) * int64(words) * 8
+	sc.budget = maxFactorMatrixBytes
+	for _, plan := range plans {
+		for s := 0; s < 3 && !plan.empty; s++ {
+			if plan.hasPair(s) {
+				sc.budget -= matBytes
+			}
+		}
+	}
+	if sc.budget < 0 {
+		return false
+	}
+	sc.reset(n, tl, plans, c.outcomes)
 
 	for oi, plan := range plans {
 		set := &sc.sets[oi]
@@ -342,19 +455,12 @@ func (c *Counter) buildStructures(bs *BufSet, plans []*outcomePlan) (*factorScra
 
 		// Interval arrays for every rf/fr constraint of this outcome:
 		// the allowed target-iteration interval per ref-thread index.
-		ncons := len(po.Constraints)
-		if cap(sc.ivLo) < ncons {
-			sc.ivLo = make([][]int64, ncons)
-			sc.ivHi = make([][]int64, ncons)
-		}
-		sc.ivLo, sc.ivHi = sc.ivLo[:ncons], sc.ivHi[:ncons]
 		for ci := range po.Constraints {
 			con := &po.Constraints[ci]
 			if con.Rel == EQZero {
 				continue
 			}
-			lo := resizeInt64(sc.ivLo[ci], n)
-			hi := resizeInt64(sc.ivHi[ci], n)
+			lo, hi := sc.ivLo[ci], sc.ivHi[ci]
 			rt := con.Ref.Thread
 			stride := c.pt.Reads[rt]
 			buf := bs.Bufs[rt]
@@ -375,16 +481,11 @@ func (c *Counter) buildStructures(bs *BufSet, plans []*outcomePlan) (*factorScra
 					}
 				}
 			}
-			sc.ivLo[ci], sc.ivHi[ci] = lo, hi
 		}
 
-		// Unary bitsets.
-		if cap(set.unary) < tl {
-			set.unary = make([]bitset, tl)
-		}
-		set.unary = set.unary[:tl]
+		// Unary bitsets (zeroed by reset).
 		for p := 0; p < tl; p++ {
-			ub := resizeBitset(set.unary[p], words)
+			ub := set.unary[p]
 			t := c.pt.LoadThreads[p]
 			stride := c.pt.Reads[t]
 			buf := bs.Bufs[t]
@@ -401,15 +502,11 @@ func (c *Counter) buildStructures(bs *BufSet, plans []*outcomePlan) (*factorScra
 						continue unaryLoop
 					}
 				}
-				for _, v := range plan.unaryExist[p] {
+				for _, cons := range plan.unaryExist[p] {
 					lo, hi := int64(0), int64(n-1)
-					for _, ci := range plan.existCons[v] {
-						if l := sc.ivLo[ci][i]; l > lo {
-							lo = l
-						}
-						if h := sc.ivHi[ci][i]; h < hi {
-							hi = h
-						}
+					for _, ci := range cons {
+						lo = max(lo, sc.ivLo[ci][i])
+						hi = min(hi, sc.ivHi[ci][i])
 					}
 					if lo > hi {
 						continue unaryLoop
@@ -417,109 +514,172 @@ func (c *Counter) buildStructures(bs *BufSet, plans []*outcomePlan) (*factorScra
 				}
 				ub.set(i)
 			}
-			set.unary[p] = ub
 		}
 
-		// Pair matrices.
-		for s := 0; s < 3; s++ {
-			cross, exist := plan.pairCross[s], plan.pairExist[s]
-			if len(cross) == 0 && len(exist) == 0 {
-				set.pair[s] = nil
-				continue
+		// Pair matrices (nil where the slot is unconstrained).
+		for s, m := range set.pair {
+			if m != nil {
+				sc.fillPairMatrix(m, plan, s)
 			}
-			m := set.pair[s]
-			if m == nil || cap(m.rows) < n*words {
-				m = &bitMatrix{rows: make([]uint64, n*words)}
-			}
-			m.n, m.words = n, words
-			m.rows = m.rows[:n*words]
-			set.pair[s] = m
-			p, q := pairPositions(s, tl)
-			c.fillPairMatrix(m, sc, plan, oi, p, q, n)
 		}
 	}
-	return sc, true
+	return true
 }
 
-// pairPositions inverts pairSlot for the test's TL.
-func pairPositions(s, tl int) (p, q int) {
-	if tl == 2 {
-		return 0, 1
-	}
-	switch s {
-	case 0:
-		return 0, 1
-	case 1:
-		return 0, 2
-	default:
-		return 1, 2
-	}
-}
-
-// fillPairMatrix evaluates the pairwise clause of outcome oi for every
-// (i, j) index pair of positions (p, q): cross bounds in either
-// direction plus shared-existential interval intersection.
-func (c *Counter) fillPairMatrix(m *bitMatrix, sc *factorScratch, plan *outcomePlan, oi, p, q, n int) {
-	s := pairSlot(p, q)
+// fillPairMatrix builds the pairwise clause of one outcome's pair slot
+// s as an n×n matrix over (i, j), i indexing position p and j position
+// q, without evaluating cells one at a time.
+//
+// Row-constant bounds (rowCross: a load of p bounding q's index) give
+// each row a [jlo, jhi] range, filled a word at a time. Every other
+// binary clause reduces to threshold atoms rowKey(i) ≤ colKey(j), which
+// sweep ANDs into all rows in O(N + N²/64):
+//
+//   - a colCross bound lo(j) ≤ i ≤ hi(j) is the atoms i ≤ hi(j) and
+//     −i ≤ −lo(j);
+//   - a shared existential whose per-side intervals are [Lp(i), Hp(i)]
+//     and [Lq(j), Hq(j)] is nonempty iff both sides are and Lp(i) ≤
+//     Hq(j) and −Hp(i) ≤ −Lq(j). An empty side is folded into the first
+//     atom by keying its row above, or its column below, every live key.
+//
+// Keys clamp into [−(n+1), n+1]: one side of every atom already lies in
+// [−(n−1), n−1], so clamping the other never changes a comparison.
+//
+//perple:hotpath cover=core-factor-build
+func (sc *factorScratch) fillPairMatrix(m *bitMatrix, plan *outcomePlan, s int) {
+	n := m.n
 	for i := 0; i < n; i++ {
-		row := m.row(i)
-		for w := range row {
-			row[w] = 0
-		}
-		// Row-constant bounds: cross constraints whose ref is position p
-		// restrict j to an interval for this whole row.
 		jlo, jhi := int64(0), int64(n-1)
-		for _, ci := range plan.pairCross[s] {
-			if plan.refPos[ci] != p {
-				continue
+		for _, ci := range plan.rowCross[s] {
+			jlo = max(jlo, sc.ivLo[ci][i])
+			jhi = min(jhi, sc.ivHi[ci][i])
+		}
+		fillRange(m.row(i), jlo, jhi)
+	}
+	for _, ci := range plan.colCross[s] {
+		lo, hi := sc.ivLo[ci], sc.ivHi[ci]
+		for k := 0; k < n; k++ {
+			sc.rowKey[k], sc.colKey[k] = k, clampKey(hi[k], n)
+		}
+		sc.sweep(m)
+		for k := 0; k < n; k++ {
+			sc.rowKey[k], sc.colKey[k] = -k, -clampKey(lo[k], n)
+		}
+		sc.sweep(m)
+	}
+	for _, e := range plan.pairExist[s] {
+		sc.existIntervals(sc.lp, sc.hp, e.p, n)
+		sc.existIntervals(sc.lq, sc.hq, e.q, n)
+		for k := 0; k < n; k++ {
+			sc.rowKey[k], sc.colKey[k] = clampKey(sc.lp[k], n), clampKey(sc.hq[k], n)
+			if sc.lp[k] > sc.hp[k] {
+				sc.rowKey[k] = n + 1
 			}
-			if l := sc.ivLo[ci][i]; l > jlo {
-				jlo = l
-			}
-			if h := sc.ivHi[ci][i]; h < jhi {
-				jhi = h
+			if sc.lq[k] > sc.hq[k] {
+				sc.colKey[k] = -(n + 1)
 			}
 		}
-		if jlo > jhi {
-			continue
+		sc.sweep(m)
+		for k := 0; k < n; k++ {
+			sc.rowKey[k], sc.colKey[k] = -clampKey(sc.hp[k], n), -clampKey(sc.lq[k], n)
 		}
-		for j := int(jlo); j <= int(jhi); j++ {
-			ok := true
-			for _, ci := range plan.pairCross[s] {
-				if plan.refPos[ci] != q {
-					continue
-				}
-				if int64(i) < sc.ivLo[ci][j] || int64(i) > sc.ivHi[ci][j] {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				for _, v := range plan.pairExist[s] {
-					lo, hi := int64(0), int64(n-1)
-					for _, ci := range plan.existCons[v] {
-						ref := i
-						if plan.refPos[ci] == q {
-							ref = j
-						}
-						if l := sc.ivLo[ci][ref]; l > lo {
-							lo = l
-						}
-						if h := sc.ivHi[ci][ref]; h < hi {
-							hi = h
-						}
-					}
-					if lo > hi {
-						ok = false
-						break
-					}
-				}
-			}
-			if ok {
-				row.set(j)
+		sc.sweep(m)
+	}
+}
+
+// existIntervals intersects, per index k of one position, the target
+// intervals of an existential's constraints read from that position,
+// starting from the whole run [0, n−1].
+//
+//perple:hotpath cover=core-factor-build
+func (sc *factorScratch) existIntervals(lo, hi []int64, cons []int, n int) {
+	for k := 0; k < n; k++ {
+		l, h := int64(0), int64(n-1)
+		for _, ci := range cons {
+			l = max(l, sc.ivLo[ci][k])
+			h = min(h, sc.ivHi[ci][k])
+		}
+		lo[k], hi[k] = l, h
+	}
+}
+
+// sweep ANDs the threshold atom rowKey(i) ≤ colKey(j) into every row of
+// m: rows are visited in ascending key order while a running column set
+// drops each column whose key falls below the current row's.
+//
+//perple:hotpath cover=core-factor-build
+func (sc *factorScratch) sweep(m *bitMatrix) {
+	n := m.n
+	countingSort(sc.rowOrder, sc.rowKey, sc.buckets, n+1)
+	countingSort(sc.colOrder, sc.colKey, sc.buckets, n+1)
+	live := sc.live
+	fillRange(live, 0, int64(n-1))
+	dropped := 0
+	for _, i := range sc.rowOrder {
+		for dropped < n && sc.colKey[sc.colOrder[dropped]] < sc.rowKey[i] {
+			j := sc.colOrder[dropped]
+			live[j>>6] &^= 1 << uint(j&63)
+			dropped++
+		}
+		switch dropped {
+		case 0:
+			// Every column survives: the AND is a no-op.
+		case n:
+			clear(m.row(i))
+		default:
+			row := m.row(i)
+			for w := range row {
+				row[w] &= live[w]
 			}
 		}
 	}
+}
+
+// countingSort writes 0..len(keys)−1 into order, stably sorted by key;
+// every key lies in [−off, off] and buckets holds at least 2·off+2
+// counters.
+//
+//perple:hotpath cover=core-factor-build
+func countingSort(order, keys, buckets []int, off int) {
+	buckets = buckets[:2*off+2]
+	clear(buckets)
+	for _, k := range keys {
+		buckets[k+off+1]++
+	}
+	for b := 1; b < len(buckets); b++ {
+		buckets[b] += buckets[b-1]
+	}
+	for i, k := range keys {
+		order[buckets[k+off]] = i
+		buckets[k+off]++
+	}
+}
+
+// clampKey clamps an interval bound into the sweep's key range
+// [−(n+1), n+1].
+func clampKey(v int64, n int) int {
+	return int(max(-int64(n+1), min(v, int64(n+1))))
+}
+
+// fillRange overwrites row with the bits lo..hi set (none when the
+// range is empty); bits past hi, including any past the run's last
+// index, are cleared.
+func fillRange(row bitset, lo, hi int64) {
+	clear(row)
+	if lo > hi {
+		return
+	}
+	lw, hw := int(lo>>6), int(hi>>6)
+	first, last := ^uint64(0)<<uint(lo&63), ^uint64(0)>>uint(63-hi&63)
+	if lw == hw {
+		row[lw] = first & last
+		return
+	}
+	row[lw] = first
+	for w := lw + 1; w < hw; w++ {
+		row[w] = ^uint64(0)
+	}
+	row[hw] = last
 }
 
 // ----- counting product-form sets -----
@@ -609,70 +769,90 @@ func (sc *factorScratch) intersectInto(dst, a, b *prodSet) {
 	}
 	for s := 0; s < 3; s++ {
 		am, bm := a.pair[s], b.pair[s]
-		switch {
-		case am == nil && bm == nil:
+		if am == nil && bm == nil {
 			dst.pair[s] = nil
+			continue
+		}
+		m := resizeMatrix(dst.pair[s], sc.n, sc.words)
+		dst.pair[s] = m
+		switch {
+		case am == nil:
+			copy(m.rows, bm.rows)
+		case bm == nil:
+			copy(m.rows, am.rows)
 		default:
-			m := dst.pair[s]
-			if m == nil || cap(m.rows) < sc.n*sc.words {
-				m = &bitMatrix{rows: make([]uint64, sc.n*sc.words)}
-			}
-			m.n, m.words = sc.n, sc.words
-			m.rows = m.rows[:sc.n*sc.words]
-			dst.pair[s] = m
-			switch {
-			case am == nil:
-				copy(m.rows, bm.rows)
-			case bm == nil:
-				copy(m.rows, am.rows)
-			default:
-				for w := range m.rows {
-					m.rows[w] = am.rows[w] & bm.rows[w]
-				}
+			for w := range m.rows {
+				m.rows[w] = am.rows[w] & bm.rows[w]
 			}
 		}
 	}
+}
+
+// chargeStack pays, from the matrix budget, for the stack matrices an
+// intersection of a and b materializes at the given depth. Each
+// (depth, slot) matrix is paid once per count, since the DFS reuses it.
+// false means the budget is spent and the count must fall back.
+func (sc *factorScratch) chargeStack(depth int, a, b *prodSet) bool {
+	if a.empty || b.empty {
+		return true
+	}
+	matBytes := int64(sc.n) * int64(sc.words) * 8
+	for s := 0; s < 3; s++ {
+		bit := uint8(1) << uint(s)
+		if (a.pair[s] == nil && b.pair[s] == nil) || sc.charged[depth]&bit != 0 {
+			continue
+		}
+		if sc.budget < matBytes {
+			return false
+		}
+		sc.budget -= matBytes
+		sc.charged[depth] |= bit
+	}
+	return true
 }
 
 // firstMatchCount computes the number of frames whose FIRST matching
 // outcome is oi, by inclusion–exclusion over the earlier outcomes'
 // sets. Zero-count subtrees are pruned (valid: intersections only
 // shrink), so disjoint outcome chains cost O(oi) terms. ok=false means
-// the overlap structure blew the term budget and the caller must fall
-// back to the odometer.
+// the overlap structure blew the term budget or the matrix budget, and
+// the caller must fall back to the odometer.
 func (sc *factorScratch) firstMatchCount(oi int) (int64, bool) {
-	if cap(sc.stack) < oi+1 {
+	if len(sc.stack) < oi+1 {
 		st := make([]prodSet, oi+1)
 		copy(st, sc.stack)
 		sc.stack = st
 	}
-	sc.stack = sc.stack[:max(len(sc.stack), oi+1)]
-	var total int64
-	terms := 0
-	var rec func(depth, nextJ int, cur *prodSet, sign int64) bool
-	rec = func(depth, nextJ int, cur *prodSet, sign int64) bool {
-		terms++
-		if terms > maxFactorIETerms {
-			return false
-		}
-		cnt := sc.countProdSet(cur)
-		if cnt == 0 {
-			return true
-		}
-		total += sign * cnt
-		for j := nextJ; j < oi; j++ {
-			child := &sc.stack[depth]
-			sc.intersectInto(child, cur, &sc.sets[j])
-			if !rec(depth+1, j+1, child, -sign) {
-				return false
-			}
-		}
-		return true
-	}
-	if !rec(0, 0, &sc.sets[oi], 1) {
+	sc.ieTotal, sc.ieTerms = 0, 0
+	if !sc.ieTerm(oi, 0, 0, &sc.sets[oi], 1) {
 		return 0, false
 	}
-	return total, true
+	return sc.ieTotal, true
+}
+
+// ieTerm adds cur's signed count to the running total and recurses into
+// its intersections with the earlier outcomes nextJ..oi−1.
+func (sc *factorScratch) ieTerm(oi, depth, nextJ int, cur *prodSet, sign int64) bool {
+	sc.ieTerms++
+	if sc.ieTerms > maxFactorIETerms {
+		return false
+	}
+	cnt := sc.countProdSet(cur)
+	if cnt == 0 {
+		return true
+	}
+	sc.ieTotal += sign * cnt
+	for j := nextJ; j < oi; j++ {
+		child := &sc.stack[depth]
+		if !sc.chargeStack(depth, cur, &sc.sets[j]) {
+			return false
+		}
+		sc.intersectInto(child, cur, &sc.sets[j])
+		if !sc.ieTerm(oi, depth+1, j+1, child, -sign) {
+			return false
+		}
+	}
+	return true
 }
 
 // mulSat multiplies non-negative counts, saturating at MaxInt64 (only
@@ -717,8 +897,11 @@ func (c *Counter) CountFactorized(bs *BufSet) (res *CountResult, ok bool, err er
 	if n == 0 || tl == 0 {
 		return res, true, nil
 	}
-	sc, ok := c.buildStructures(bs, plans)
-	if !ok {
+	if c.fscratch == nil {
+		c.fscratch = &factorScratch{}
+	}
+	sc := c.fscratch
+	if !c.buildStructures(sc, bs, plans) {
 		return nil, false, nil
 	}
 	for oi := range c.outcomes {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"perple/internal/analysis/hotpath"
@@ -12,7 +13,10 @@ import (
 // must be allocation-free — it runs N^TL (or N) times per count. The
 // exerciser drives the kernel directly over a small frame space rather
 // than through CountExhaustive, which allocates its fresh CountResult
-// per call by design.
+// per call by design. Likewise the factorized counter's structure build
+// (interval arrays, unary bitsets, swept pair matrices) is exercised by
+// rebuilding on warmed counters — TL 2 and 3, cross bounds and shared
+// existentials — at a size spanning several words.
 func TestHotpathAllocs(t *testing.T) {
 	pt := mustConvert(t, "sb")
 	pos, err := ConvertAllOutcomes(pt)
@@ -23,7 +27,34 @@ func TestHotpathAllocs(t *testing.T) {
 	const n = 8
 	bs := lockstepBufs(pt, n)
 	anchor := pt.LoadThreads[0]
+
+	rng := rand.New(rand.NewSource(5))
+	var rebuilds []func()
+	for _, name := range []string{"sb", "podwr001", "wrc"} {
+		pt := mustConvert(t, name)
+		pos, err := ConvertAllOutcomes(pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fc := NewCounter(pt, pos)
+		fbs := randomBufs(rng, pt, 130)
+		if _, ok, err := fc.CountFactorized(fbs); err != nil || !ok {
+			t.Fatalf("%s: warm-up count ok=%v err=%v", name, ok, err)
+		}
+		plans, _ := fc.factorPlans()
+		rebuilds = append(rebuilds, func() {
+			if !fc.buildStructures(fc.fscratch, fbs, plans) {
+				t.Fatal("rebuild tripped the matrix guard")
+			}
+		})
+	}
+
 	hotpath.Verify(t, ".", map[string]func(){
+		"core-factor-build": func() {
+			for _, rebuild := range rebuilds {
+				rebuild()
+			}
+		},
 		"core-count-eval": func() {
 			for i := int64(0); i < n; i++ {
 				for j := int64(0); j < n; j++ {
