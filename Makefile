@@ -24,10 +24,17 @@ check: vet
 # absorbed into perple-vet's nodeterminism pass).
 lint: check
 
-# Short local fuzz pass over the litmus parser (CI runs the seed corpus
-# as ordinary tests; this explores new inputs).
+# Short local fuzz pass over every fuzz target (CI runs the seed corpora
+# as ordinary tests; this explores new inputs). -fuzz takes one target
+# per package per run, so each target gets its own pass.
 fuzz:
-	$(GO) test ./internal/litmus -fuzz FuzzParseRoundTrip -fuzztime 30s
+	$(GO) test ./internal/litmus -run '^$$' -fuzz '^FuzzParseRoundTrip$$' -fuzztime 15s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzCountFactorized$$' -fuzztime 15s
+	$(GO) test ./internal/harness -run '^$$' -fuzz '^FuzzWireBinaryDecode$$' -fuzztime 15s
+	$(GO) test ./internal/harness -run '^$$' -fuzz '^FuzzWireRoundTrip$$' -fuzztime 15s
+	$(GO) test ./internal/campaign -run '^$$' -fuzz '^FuzzCompleteRequestWire$$' -fuzztime 15s
+	$(GO) test ./internal/campaign -run '^$$' -fuzz '^FuzzCompleteRequestBinaryDecode$$' -fuzztime 15s
+	$(GO) test ./internal/axiom -run '^$$' -fuzz '^FuzzAxiomVsOperational$$' -fuzztime 15s
 
 # Long chaos soak: fault-injected loopback fleets under the race
 # detector (six fixed-seed rounds; CI runs the short variant). Seeds

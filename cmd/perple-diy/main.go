@@ -13,11 +13,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 
+	"perple/internal/axiom"
 	"perple/internal/core"
 	"perple/internal/harness"
 	"perple/internal/litmus"
@@ -68,9 +70,19 @@ func run() error {
 	}
 	fmt.Println(litmus.Format(test))
 
+	// A cycle beyond the exact-enumeration cutoff gets the checker's
+	// refusal as its verdict, as in perple-lint, never a partial answer.
 	for _, m := range memmodel.Models {
-		allowed := memmodel.AxiomaticAllowed(test, test.Target, m)
-		fmt.Printf("target under %-3v: %v\n", m, verdict(allowed))
+		allowed, err := axiom.Allowed(test, test.Target, m, axiom.DefaultLimits())
+		var tle *axiom.TooLargeError
+		switch {
+		case errors.As(err, &tle):
+			fmt.Printf("target under %-3v: %v\n", m, err)
+		case err != nil:
+			return err
+		default:
+			fmt.Printf("target under %-3v: %v\n", m, verdict(allowed))
+		}
 	}
 
 	convertible := !test.Target.HasMemConds()

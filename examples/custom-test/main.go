@@ -30,9 +30,9 @@ func main() {
 	}
 	fmt.Printf("parsed %q: %d threads, %d load-performing\n", test.Name, test.T(), test.TL())
 	fmt.Printf("target %v\n", test.Target)
-	fmt.Printf("  SC allows:  %v\n", perple.AllowedSC(test, test.Target))
+	fmt.Printf("  SC allows:  %v\n", must(perple.Allowed(test, test.Target, perple.SC)))
 	fmt.Printf("  TSO allows: %v (wrc is forbidden: stores are transitively visible)\n\n",
-		perple.AllowedTSO(test, test.Target))
+		must(perple.Allowed(test, test.Target, perple.TSO)))
 
 	// Convert and show the Converter's artifacts, like the paper's tool
 	// emits per-thread assembly and counter files.
@@ -73,4 +73,13 @@ func main() {
 	// The observable (allowed) outcomes still show up in litmus7's
 	// histogram — the machine is weak, just not broken.
 	fmt.Printf("  litmus7 observed %d distinct outcomes across the run\n", len(lres.Histogram))
+}
+
+// must unwraps a checker answer; every test here is within the checker's
+// exact-enumeration cutoff, so an error is a bug.
+func must[T any](v T, err error) T {
+	if err != nil {
+		log.Fatal(err)
+	}
+	return v
 }

@@ -1,13 +1,15 @@
-// Package axiom is a static axiomatic x86-TSO/SC checker over the
-// litmus.Test AST, in the style of herd ("Herding Cats", Alglave,
-// Maranget, Tautschnig). It enumerates candidate executions symbolically
-// — program order is fixed; every reads-from assignment and every
-// per-location coherence order is a choice — filters them against the
-// axioms of sequential consistency and of x86-TSO, and classifies each
+// Package axiom is the repository's axiomatic memory-model checker: a
+// static enumerator over the litmus.Test AST in the style of herd
+// ("Herding Cats", Alglave, Maranget, Tautschnig). It enumerates candidate
+// executions symbolically — program order is fixed; every reads-from
+// assignment and every per-location coherence order is a choice — and
+// filters them against each model's axioms. Analyze classifies each
 // final-state outcome of a test as SCAllowed, TSOOnly (the interesting
-// weak outcomes) or Forbidden.
+// weak outcomes) or Forbidden; States returns the final states any one
+// model (SC, x86-TSO or PSO) allows.
 //
-// The axioms, following herd's x86tso.cat:
+// Each model is a row of data (models in enum.go). The axioms, following
+// herd's x86tso.cat:
 //
 //   - coherence ("uniproc"): program order restricted to same-location
 //     accesses, together with rf, co and the derived fr, must be acyclic
@@ -17,17 +19,18 @@
 //     store→load program order (the store-buffer relaxation), mfence
 //     restores it across an OpFence, and rfe keeps only cross-thread
 //     read-from edges — a same-thread rf is store-to-load forwarding and
-//     does not prove the store reached memory.
+//     does not prove the store reached memory;
+//   - PSO: as TSO, with ppo also dropping unfenced store→store pairs to
+//     different locations (per-location store buffers).
 //
-// Unlike the happens-before checker in internal/memmodel (which this
-// package cross-validates against in tests), the enumeration here is
-// engineered as a static pre-flight: sub-relations are memoized per test
-// (program-order bitmasks, po-consistent coherence permutations, pruned
-// reads-from candidate lists, from-read suffix masks) and all per-
-// candidate work runs on reusable uint64 adjacency masks, so suite-sized
-// tests classify in microseconds and whole corpora in well under a
-// second. Enumeration is exact up to an explicit cutoff (Limits); above
-// it Analyze refuses with a *TooLargeError instead of answering
+// Tests hold every model against memmodel's operational store-buffer
+// machine. The enumeration is engineered as a static pre-flight:
+// sub-relations are memoized per test (program-order bitmasks,
+// po-consistent coherence permutations, pruned reads-from candidate
+// lists, from-read suffix masks) and all per-candidate work runs on
+// reusable uint64 adjacency masks, so suite-sized tests classify in
+// microseconds and whole corpora in well under a second. Enumeration is exact up to an explicit cutoff (Limits); above
+// it the checker refuses with a *TooLargeError instead of answering
 // inexactly, so the result is always a proof, never a sample.
 package axiom
 
@@ -35,6 +38,7 @@ import (
 	"fmt"
 
 	"perple/internal/litmus"
+	"perple/internal/memmodel"
 )
 
 // Class classifies one outcome of a litmus test against the two models.
@@ -188,19 +192,64 @@ func Analyze(t *litmus.Test) (*Report, error) {
 
 // AnalyzeWithLimits classifies the test, enumerating exactly up to lim.
 func AnalyzeWithLimits(t *litmus.Test, lim Limits) (*Report, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	lim = lim.withDefaults()
-	a, err := newAnalysis(t, lim)
+	a, err := prepare(t, lim)
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{Test: t, Limits: lim, keys: map[string]int{}}
-	a.enumerate(rep)
+	rep := &Report{Test: t, Limits: a.lim, keys: map[string]int{}}
+	rep.Executions, rep.Consistent = a.enumerate(func(idx []int) { a.record(rep, idx) })
 	rep.classifyOutcomes()
 	rep.classifyTarget()
 	return rep, nil
+}
+
+// States returns the distinct final states model m allows for the test,
+// in first-witnessed (deterministic) order: those of the coherent
+// candidate executions whose ghb under m is acyclic. Like Analyze it is
+// exact up to lim and refuses with *TooLargeError beyond it.
+func States(t *litmus.Test, m memmodel.Model, lim Limits) ([]memmodel.State, error) {
+	if m < 0 || int(m) >= len(models) {
+		return nil, fmt.Errorf("axiom: unknown model %v", m)
+	}
+	a, err := prepare(t, lim)
+	if err != nil {
+		return nil, err
+	}
+	seen := map[string]bool{}
+	var out []memmodel.State
+	a.enumerate(func([]int) {
+		if !a.consistent(m) {
+			return
+		}
+		regs, mem := a.finalState()
+		if key := stateKey(t, regs, mem); !seen[key] {
+			seen[key] = true
+			out = append(out, memmodel.State{Regs: regs, Mem: mem})
+		}
+	})
+	return out, nil
+}
+
+// Allowed reports whether model m allows outcome o of the test: some
+// state States returns satisfies it.
+func Allowed(t *litmus.Test, o litmus.Outcome, m memmodel.Model, lim Limits) (bool, error) {
+	states, err := States(t, m, lim)
+	if err != nil {
+		return false, err
+	}
+	for _, s := range states {
+		if o.HoldsFull(s.Regs, s.Mem) {
+			return true, nil
+		}
+	}
+	return false, nil
+}
+
+func prepare(t *litmus.Test, lim Limits) (*analysis, error) {
+	if err := t.Validate(); err != nil {
+		return nil, err
+	}
+	return newAnalysis(t, lim.withDefaults())
 }
 
 // Classify returns the class of an arbitrary outcome of the test.
@@ -255,20 +304,6 @@ func (r *Report) TSOAllows(regs [][]int64, mem map[litmus.Loc]int64) bool {
 	return false
 }
 
-// SCAllows is TSOAllows for the SC subset.
-func (r *Report) SCAllows(regs [][]int64, mem map[litmus.Loc]int64) bool {
-	if mem != nil {
-		i, ok := r.keys[stateKey(r.Test, regs, mem)]
-		return ok && r.Results[i].SC
-	}
-	for i := range r.Results {
-		if r.Results[i].SC && regsEqual(r.Results[i].Regs, regs) {
-			return true
-		}
-	}
-	return false
-}
-
 // SCResults returns the SC-consistent subset of Results.
 func (r *Report) SCResults() []Result {
 	var out []Result
@@ -307,8 +342,9 @@ func (r *Report) classifyTarget() {
 
 // targetUnsatisfiable checks each condition's value against its static
 // value domain: a register's final value is its last load's location's
-// initial value or one of the values stored there; a location's final
-// value likewise. Out-of-domain conditions can never hold, regardless of
+// initial value or one of the values stored there, and a register no
+// load writes holds 0; a location's final value is its initial value or
+// a stored one. Out-of-domain conditions can never hold, regardless of
 // the memory model — typically a typo in a hand-written .litmus file.
 func targetUnsatisfiable(t *litmus.Test) bool {
 	lastLoc := map[[2]int]litmus.Loc{}
@@ -337,8 +373,14 @@ func targetUnsatisfiable(t *litmus.Test) bool {
 			}
 			continue
 		}
-		loc, ok := lastLoc[[2]int{c.Thread, c.Reg}]
-		if !ok || !inDomain(loc, c.Value) {
+		loc, loaded := lastLoc[[2]int{c.Thread, c.Reg}]
+		if !loaded {
+			if c.Value != 0 {
+				return true
+			}
+			continue
+		}
+		if !inDomain(loc, c.Value) {
 			return true
 		}
 	}

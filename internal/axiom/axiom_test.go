@@ -1,6 +1,7 @@
 package axiom
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -45,15 +46,16 @@ func TestSuiteClassification(t *testing.T) {
 }
 
 // TestNonConvertibleAgainstMemmodel classifies the final-memory-target
-// tests against the existing checker rather than hand-written labels.
+// tests against the operational store-buffer machine rather than
+// hand-written labels.
 func TestNonConvertibleAgainstMemmodel(t *testing.T) {
 	for _, tc := range litmus.NonConvertible() {
 		rep, err := Analyze(tc)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.Name, err)
 		}
-		wantTSO := memmodel.AxiomaticAllowed(tc, tc.Target, memmodel.TSO)
-		wantSC := memmodel.AxiomaticAllowed(tc, tc.Target, memmodel.SC)
+		wantTSO := memmodel.OperationalAllowed(tc, tc.Target, memmodel.TSO)
+		wantSC := memmodel.OperationalAllowed(tc, tc.Target, memmodel.SC)
 		var want Class
 		switch {
 		case wantSC:
@@ -70,9 +72,9 @@ func TestNonConvertibleAgainstMemmodel(t *testing.T) {
 }
 
 // TestResultSetsMatchMemmodel cross-validates the memoized enumeration
-// against both existing oracles — the hb-graph axiomatic checker and the
-// independent operational store-buffer machine — over the suite and the
-// non-convertible tests: identical TSO result sets, identical SC subsets.
+// against the independent operational store-buffer machine over the
+// suite and the non-convertible tests: identical TSO result sets and SC
+// subsets in the Report, and identical States for every model.
 func TestResultSetsMatchMemmodel(t *testing.T) {
 	var tests []*litmus.Test
 	for _, e := range litmus.Suite() {
@@ -130,12 +132,18 @@ func checkResultSets(t *testing.T, tc *litmus.Test) {
 	}
 	gotTSO := stateKeys(tc, rep.Results, false)
 	gotSC := stateKeys(tc, rep.Results, true)
-	wantAxTSO := memmodelKeys(tc, memmodel.AxiomaticAllowedSet(tc, memmodel.TSO))
-	wantAxSC := memmodelKeys(tc, memmodel.AxiomaticAllowedSet(tc, memmodel.SC))
-	wantOpTSO := memmodelKeys(tc, memmodel.OperationalAllowedSet(tc, memmodel.TSO))
-	diffKeys(t, tc.Name, "TSO vs hb-axiomatic", gotTSO, wantAxTSO)
-	diffKeys(t, tc.Name, "SC vs hb-axiomatic", gotSC, wantAxSC)
-	diffKeys(t, tc.Name, "TSO vs operational", gotTSO, wantOpTSO)
+	opTSO := memmodelKeys(tc, memmodel.OperationalAllowedSet(tc, memmodel.TSO))
+	opSC := memmodelKeys(tc, memmodel.OperationalAllowedSet(tc, memmodel.SC))
+	diffKeys(t, tc.Name, "Report TSO vs operational", gotTSO, opTSO)
+	diffKeys(t, tc.Name, "Report SC vs operational", gotSC, opSC)
+	for _, m := range memmodel.Models {
+		states, err := States(tc, m, DefaultLimits())
+		if err != nil {
+			t.Fatalf("%s: States(%v): %v", tc.Name, m, err)
+		}
+		diffKeys(t, tc.Name, fmt.Sprintf("States(%v) vs operational", m),
+			memmodelKeys(tc, states), memmodelKeys(tc, memmodel.OperationalAllowedSet(tc, m)))
+	}
 }
 
 func stateKeys(tc *litmus.Test, results []Result, scOnly bool) map[string]bool {
@@ -149,7 +157,7 @@ func stateKeys(tc *litmus.Test, results []Result, scOnly bool) map[string]bool {
 	return out
 }
 
-func memmodelKeys(tc *litmus.Test, results []memmodel.AxiomaticResult) map[string]bool {
+func memmodelKeys(tc *litmus.Test, results []memmodel.State) map[string]bool {
 	out := map[string]bool{}
 	for _, r := range results {
 		out[stateKey(tc, r.Regs, r.Mem)] = true
@@ -217,6 +225,39 @@ func TestUnsatisfiableTarget(t *testing.T) {
 	}
 }
 
+// TestUnloadedRegisterTarget: a register no load writes (Validate allows
+// r0 unused when r1 is loaded) holds 0 in every execution, so a condition
+// on it is satisfiable iff it asks for 0 — and the verdict must agree
+// with the classification.
+func TestUnloadedRegisterTarget(t *testing.T) {
+	tc := &litmus.Test{
+		Name: "unloaded-reg",
+		Threads: []litmus.Thread{
+			{Instrs: []litmus.Instr{litmus.Store("x", 1)}},
+			{Instrs: []litmus.Instr{litmus.Load(1, "x")}},
+		},
+		Target: litmus.Outcome{Conds: []litmus.Cond{
+			{Thread: 1, Reg: 0, Value: 0}, {Thread: 1, Reg: 1, Value: 1},
+		}},
+	}
+	rep, err := Analyze(tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Target.Unsatisfiable || rep.Target.Class != SCAllowed {
+		t.Errorf("1:r0=0 /\\ 1:r1=1: unsatisfiable=%v class=%v, want reachable and sc-allowed",
+			rep.Target.Unsatisfiable, rep.Target.Class)
+	}
+	tc.Target.Conds[0].Value = 1
+	if rep, err = Analyze(tc); err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Target.Unsatisfiable || rep.Target.Class != Forbidden {
+		t.Errorf("1:r0=1 /\\ 1:r1=1: unsatisfiable=%v class=%v, want unsatisfiable and forbidden",
+			rep.Target.Unsatisfiable, rep.Target.Class)
+	}
+}
+
 func TestVacuousTarget(t *testing.T) {
 	tc := &litmus.Test{
 		Name: "vacuous",
@@ -259,6 +300,9 @@ func TestCutoffError(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "refusing") {
 		t.Errorf("error %q does not state the refusal", err)
+	}
+	if _, err := States(big, memmodel.PSO, DefaultLimits()); !errors.As(err, &tle) {
+		t.Errorf("States over the cutoff: got %v, want *TooLargeError", err)
 	}
 	// Raising the cutoff makes the same test analyzable.
 	if _, err := AnalyzeWithLimits(big, Limits{MaxThreads: 4, MaxEvents: 9}); err != nil {
@@ -328,9 +372,71 @@ func reportFingerprint(r *Report) string {
 	return b.String()
 }
 
+func TestStatesRejectsUnknownModel(t *testing.T) {
+	sb, _ := litmus.SuiteTest("sb")
+	if _, err := States(sb, memmodel.Model(len(memmodel.Models)), DefaultLimits()); err == nil {
+		t.Error("States accepted an unknown model")
+	}
+}
+
 func TestRejectsInvalidTest(t *testing.T) {
 	tc := &litmus.Test{Name: "bad", Threads: []litmus.Thread{{Instrs: []litmus.Instr{litmus.Store("x", 0)}}}}
 	if _, err := Analyze(tc); err == nil {
 		t.Error("Analyze accepted a test that fails validation")
 	}
+}
+
+// FuzzAxiomVsOperational is the open-ended form of the cross-validation
+// above. The input's first four bytes pick a generator shape — 2 to 4
+// threads, up to 3 instructions each, 2 or 3 locations, a fence
+// probability — and the rest seed the generator. For every model, States
+// must equal the operational machine's state set, and the models must
+// nest: SC ⊆ TSO ⊆ PSO. Tests beyond the default cutoff are skipped.
+// The committed corpus in testdata/fuzz runs as ordinary tests.
+func FuzzAxiomVsOperational(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 0, 42})
+	f.Add([]byte{1, 2, 1, 2, 77})
+	f.Add([]byte{2, 1, 1, 4, 7, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		threads := 2 + int(data[0])%3
+		var seed [8]byte
+		copy(seed[:], data[4:])
+		cfg := litmus.GenConfig{
+			MinThreads: threads,
+			MaxThreads: threads,
+			MaxInstrs:  1 + int(data[1])%3,
+			Locs:       []litmus.Loc{"x", "y", "z"}[:2+int(data[2])%2],
+			FenceProb:  float64(data[3]%5) / 10,
+		}
+		rng := rand.New(rand.NewSource(int64(binary.LittleEndian.Uint64(seed[:]))))
+		tc := litmus.Generate(rng, cfg, "fuzz")
+		var sets []map[string]bool
+		for _, m := range memmodel.Models {
+			states, err := States(tc, m, DefaultLimits())
+			var tle *TooLargeError
+			if errors.As(err, &tle) {
+				t.Skip(err)
+			}
+			if err != nil {
+				t.Fatalf("%v\n%s", err, litmus.Format(tc))
+			}
+			got := memmodelKeys(tc, states)
+			diffKeys(t, tc.Name, fmt.Sprintf("States(%v) vs operational", m),
+				got, memmodelKeys(tc, memmodel.OperationalAllowedSet(tc, m)))
+			sets = append(sets, got)
+		}
+		for i := 1; i < len(sets); i++ {
+			for k := range sets[i-1] {
+				if !sets[i][k] {
+					t.Errorf("%v state %q missing under %v", memmodel.Models[i-1], k, memmodel.Models[i])
+				}
+			}
+		}
+		if t.Failed() {
+			t.Logf("failing test:\n%s", litmus.Format(tc))
+		}
+	})
 }

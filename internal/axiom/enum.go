@@ -4,14 +4,46 @@ import (
 	"math/bits"
 
 	"perple/internal/litmus"
+	"perple/internal/memmodel"
 )
 
+// modelDef is one memory model as data, in the style of Herding Cats: a
+// coherent candidate is allowed iff ghb = ppo ∪ rf ∪ co ∪ fr is acyclic,
+// where ppo is the program order the model keeps and rf shrinks to its
+// cross-thread part rfe unless rfi is set (a same-thread read may be
+// store-to-load forwarding, which proves nothing left the buffer).
+// Nothing in the enumerator branches on a model's name.
+type modelDef struct {
+	relaxWR bool // drop unfenced store→load po (a FIFO store buffer)
+	relaxWW bool // drop unfenced store→store po to different locations
+	rfi     bool
+}
+
+// models is indexed by memmodel.Model.
+var models = [...]modelDef{
+	memmodel.SC:  {rfi: true},
+	memmodel.TSO: {relaxWR: true},
+	memmodel.PSO: {relaxWR: true, relaxWW: true},
+}
+
+// preserves is the single ppo predicate every model's mask comes from: it
+// reports whether program order from an access of kind from to a later
+// access of kind to stays in ghb.
+func (d modelDef) preserves(from, to litmus.OpKind, sameLoc, fenced bool) bool {
+	if fenced || from != litmus.OpStore {
+		return true
+	}
+	if to == litmus.OpLoad {
+		return !d.relaxWR
+	}
+	return sameLoc || !d.relaxWW
+}
+
 // event is one memory event: a dynamic load or store. Fences are not
-// events — their effect is folded into the ppo mask (a fence between a
-// store and a later load of the same thread restores the dropped
-// store→load edge), which is sound because a direct po edge subsumes any
-// fence-mediated path. Event 0 is the init pseudo-store writing every
-// location's initial value.
+// events — their effect is folded into the ppo masks (a fence between two
+// accesses of a thread restores a po edge the model would drop), which is
+// sound because a direct po edge subsumes any fence-mediated path. Event
+// 0 is the init pseudo-store writing every location's initial value.
 type event struct {
 	thread int // -1 for init
 	index  int // instruction index within the thread
@@ -44,12 +76,11 @@ type analysis struct {
 	events []event
 	locs   []litmus.Loc
 
-	po    []uint64 // full program order (transitive; masks make that free)
-	ppo   []uint64 // TSO-preserved po: store→load dropped unless fenced
-	poLoc []uint64 // po restricted to same-location pairs
+	ppo   [len(models)][]uint64 // per-model preserved po; ppo[SC] is full po
+	poLoc []uint64              // po restricted to same-location pairs
 
-	loads   []int         // load event ids in (thread, index) order
-	loadPos []int         // event id -> index in loads, -1 otherwise
+	loads   []int // load event ids in (thread, index) order
+	loadPos []int // event id -> index in loads, -1 otherwise
 	stores  map[litmus.Loc][]int
 
 	rfCands [][]int // rfCands[k]: candidate stores for loads[k] (0 = init)
@@ -119,8 +150,9 @@ func newAnalysis(t *litmus.Test, lim Limits) (*analysis, error) {
 		a.loadPos[lid] = k
 	}
 
-	a.po = make([]uint64, n)
-	a.ppo = make([]uint64, n)
+	for m := range a.ppo {
+		a.ppo[m] = make([]uint64, n)
+	}
 	a.poLoc = make([]uint64, n)
 	for i := 1; i < n; i++ {
 		for j := 1; j < n; j++ {
@@ -128,15 +160,16 @@ func newAnalysis(t *litmus.Test, lim Limits) (*analysis, error) {
 			if ei.thread != ej.thread || ei.index >= ej.index {
 				continue
 			}
-			a.po[i] |= 1 << j
-			if ei.loc == ej.loc {
+			sameLoc := ei.loc == ej.loc
+			if sameLoc {
 				a.poLoc[i] |= 1 << j
 			}
-			if ei.kind == litmus.OpStore && ej.kind == litmus.OpLoad &&
-				!fenceBetween(t, ei.thread, ei.index, ej.index) {
-				continue // the store-buffer relaxation
+			fenced := fenceBetween(t, ei.thread, ei.index, ej.index)
+			for m, d := range models {
+				if d.preserves(ei.kind, ej.kind, sameLoc, fenced) {
+					a.ppo[m][i] |= 1 << j
+				}
 			}
-			a.ppo[i] |= 1 << j
 		}
 	}
 
@@ -291,23 +324,30 @@ func (a *analysis) newPerm(order []int) wsPerm {
 }
 
 // enumerate walks the full candidate space — an odometer over the rf
-// choice of every load and the coherence order of every location — and
-// feeds each candidate to check.
-func (a *analysis) enumerate(rep *Report) {
+// choice of every load and the coherence order of every location. It
+// loads each candidate's dynamic edges and hands those passing the
+// coherence axiom to visit, which reads them through consistent and
+// finalState. It returns the number of candidates and of coherent ones.
+func (a *analysis) enumerate(visit func(idx []int)) (executions, coherent int) {
 	nd := len(a.loads) + len(a.permLocs)
 	idx := make([]int, nd)
 	sizes := make([]int, nd)
 	for k := range a.loads {
 		sizes[k] = len(a.rfCands[k])
 		if sizes[k] == 0 {
-			return // unreachable: init is always a fallback candidate
+			return 0, 0 // unreachable: init is always a fallback candidate
 		}
 	}
 	for k := range a.permLocs {
 		sizes[len(a.loads)+k] = len(a.perms[k])
 	}
 	for {
-		a.check(rep, idx)
+		executions++
+		a.load(idx)
+		if a.acyclic(a.poLoc, a.dynAll) {
+			coherent++
+			visit(idx)
+		}
 		d := nd - 1
 		for d >= 0 {
 			idx[d]++
@@ -318,25 +358,17 @@ func (a *analysis) enumerate(rep *Report) {
 			d--
 		}
 		if d < 0 {
-			return
+			return executions, coherent
 		}
 	}
 }
 
-// check tests one candidate execution against the axioms:
-//
-//	coherence:  poLoc ∪ rf ∪ co ∪ fr acyclic   (required by both models)
-//	x86-TSO:    ppo ∪ rfe ∪ co ∪ fr acyclic    (ghb; mfence is inside ppo)
-//	SC:         po ∪ rf ∪ co ∪ fr acyclic
-//
-// SC's edge set contains TSO's (ppo ⊆ po, rfe ⊆ rf), so SC-consistency
-// implies TSO-consistency and SC is only checked for TSO-consistent
-// candidates. co is added as its chain (reachability-equivalent to the
-// full total order) and each load contributes a single fr edge to the
-// immediate co-successor of the store it reads — the co chain supplies
-// the rest of fr transitively.
-func (a *analysis) check(rep *Report, idx []int) {
-	rep.Executions++
+// load materializes one candidate's dynamic relations into the scratch
+// masks: dynAll = co ∪ rf ∪ fr and dynExt = co ∪ rfe ∪ fr. co is added as
+// its chain (reachability-equivalent to the full total order) and each
+// load contributes a single fr edge to the immediate co-successor of the
+// store it reads — the co chain supplies the rest of fr transitively.
+func (a *analysis) load(idx []int) {
 	t := a.t
 	dynAll, dynExt := a.dynAll, a.dynExt
 	for i := range dynAll {
@@ -362,8 +394,6 @@ func (a *analysis) check(rep *Report, idx []int) {
 		le := &a.events[lid]
 		dynAll[sid] |= 1 << lid
 		if a.events[sid].thread != le.thread {
-			// rfe: only an external read proves the store left the buffer.
-			// An internal rf is store-to-load forwarding and stays out of ghb.
 			dynExt[sid] |= 1 << lid
 		}
 		if sid == 0 {
@@ -386,18 +416,24 @@ func (a *analysis) check(rep *Report, idx []int) {
 			dynExt[lid] |= 1 << next
 		}
 	}
+}
 
-	if !a.acyclic(a.poLoc, dynAll) {
-		return // coherence violation
+// consistent checks the loaded candidate against model m's axiom: its
+// ghb = ppo[m] ∪ rf ∪ co ∪ fr (rfe instead of rf unless the model keeps
+// internal reads-from) must be acyclic.
+func (a *analysis) consistent(m memmodel.Model) bool {
+	dyn := a.dynExt
+	if models[m].rfi {
+		dyn = a.dynAll
 	}
-	rep.Consistent++
-	if !a.acyclic(a.ppo, dynExt) {
-		return // TSO-forbidden (hence SC-forbidden)
-	}
-	sc := a.acyclic(a.po, dynAll)
+	return a.acyclic(a.ppo[m], dyn)
+}
 
-	// Final state: each register holds its last load's observed value;
-	// each location holds its last coherence-order store.
+// finalState returns the loaded candidate's final state: each register
+// holds its last load's observed value; each location holds its last
+// coherence-order store.
+func (a *analysis) finalState() ([][]int64, map[litmus.Loc]int64) {
+	t := a.t
 	regs := make([][]int64, len(t.Threads))
 	for ti := range regs {
 		regs[ti] = make([]int64, len(a.lastLoad[ti]))
@@ -414,8 +450,20 @@ func (a *analysis) check(rep *Report, idx []int) {
 	for k, loc := range a.permLocs {
 		mem[loc] = a.events[a.permChoice[k].last].value
 	}
+	return regs, mem
+}
 
-	key := stateKey(t, regs, mem)
+// record classifies one coherent candidate for a Report: a TSO-consistent
+// candidate contributes its final state, flagged SC when it is also
+// SC-consistent. SC's edge set contains TSO's (po ⊇ ppo, rf ⊇ rfe), so SC
+// is only checked for TSO-consistent candidates.
+func (a *analysis) record(rep *Report, idx []int) {
+	if !a.consistent(memmodel.TSO) {
+		return // TSO-forbidden (hence SC-forbidden)
+	}
+	sc := a.consistent(memmodel.SC)
+	regs, mem := a.finalState()
+	key := stateKey(a.t, regs, mem)
 	if i, ok := rep.keys[key]; ok {
 		if sc && !rep.Results[i].SC {
 			rep.Results[i].SC = true

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"perple/internal/axiom"
 	"perple/internal/core"
 	"perple/internal/harness"
 	"perple/internal/litmus"
@@ -44,18 +45,17 @@ func Fig13(w io.Writer, opts Options) (*Fig13Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Which outcomes does TSO allow? (annotation only; rep.Outcomes
+		// follows AllOutcomes order)
+		rep, err := axiom.Analyze(test)
+		if err != nil {
+			return nil, err
+		}
 		outcomes := test.AllOutcomes()
 		rows := make([]*Fig13Row, len(outcomes))
 		for i, o := range outcomes {
-			rows[i] = &Fig13Row{Test: name, Outcome: o, Counts: map[Tool]int64{}}
-		}
-		// Which outcomes does TSO allow? (annotation only)
-		allowedSet := map[string]bool{}
-		for _, o := range allowedOutcomes(test) {
-			allowedSet[o.Key()] = true
-		}
-		for i, o := range outcomes {
-			rows[i].TSOAllowed = allowedSet[o.Key()]
+			rows[i] = &Fig13Row{Test: name, Outcome: o, Counts: map[Tool]int64{},
+				TSOAllowed: rep.Outcomes[i].Class != axiom.Forbidden}
 		}
 
 		// litmus7 in every mode.

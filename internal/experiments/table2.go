@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"io"
 
+	"perple/internal/axiom"
 	"perple/internal/litmus"
-	"perple/internal/memmodel"
 	"perple/internal/stats"
 )
 
@@ -32,13 +32,17 @@ type TableIIResult struct {
 func TableII(w io.Writer, opts Options) (*TableIIResult, error) {
 	res := &TableIIResult{}
 	for _, e := range litmus.Suite() {
+		rep, err := axiom.Analyze(e.Test)
+		if err != nil {
+			return nil, err
+		}
 		row := TableIIRow{
 			Name:       e.Test.Name,
 			T:          e.Test.T(),
 			TL:         e.Test.TL(),
 			Claimed:    e.Allowed,
-			TSOAllowed: memmodel.AxiomaticAllowed(e.Test, e.Test.Target, memmodel.TSO),
-			SCAllowed:  memmodel.AxiomaticAllowed(e.Test, e.Test.Target, memmodel.SC),
+			TSOAllowed: rep.Target.Class != axiom.Forbidden,
+			SCAllowed:  rep.Target.Class == axiom.SCAllowed,
 		}
 		if row.TSOAllowed != row.Claimed {
 			res.Mismatches++

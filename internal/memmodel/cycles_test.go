@@ -1,16 +1,19 @@
-package memmodel
+package memmodel_test
 
 import (
+	"fmt"
 	"testing"
 
 	"perple/internal/litmus"
+	"perple/internal/memmodel"
 )
 
 // TestCycleClassification cross-validates the diy-style generator against
 // the model checkers: a critical cycle's target is SC-forbidden by
 // construction, and it is allowed under a weaker model exactly when the
 // model relaxes at least one of the cycle's program-order edges (PodWR
-// under TSO; PodWR or PodWW under PSO).
+// under TSO; PodWR or PodWW under PSO). On every cycle the axiomatic
+// state sets must also equal the operational machine's, for every model.
 //
 // The iff holds for cycles in which each thread contributes at most two
 // accesses (one program-order edge) — Shasha & Snir's critical-cycle
@@ -63,15 +66,20 @@ func checkCyclesOfLength(t *testing.T, alphabet []litmus.EdgeSpec, length int) i
 					hasWW = true
 				}
 			}
-			if AxiomaticAllowed(test, test.Target, SC) {
+			if axiomAllows(t, test, test.Target, memmodel.SC) {
 				t.Errorf("cycle %v: target SC-allowed; cycles must be SC-forbidden", edges)
 			}
-			if got := AxiomaticAllowed(test, test.Target, TSO); got != hasWR {
+			if got := axiomAllows(t, test, test.Target, memmodel.TSO); got != hasWR {
 				t.Errorf("cycle %v: TSO-allowed = %v, want %v (PodWR present = %v)",
 					edges, got, hasWR, hasWR)
 			}
-			if got := AxiomaticAllowed(test, test.Target, PSO); got != (hasWR || hasWW) {
+			if got := axiomAllows(t, test, test.Target, memmodel.PSO); got != (hasWR || hasWW) {
 				t.Errorf("cycle %v: PSO-allowed = %v, want %v", edges, got, hasWR || hasWW)
+			}
+			for _, m := range memmodel.Models {
+				ax := resultSetKeys(test, axiomStates(t, test, m))
+				op := resultSetKeys(test, memmodel.OperationalAllowedSet(test, m))
+				diff(t, fmt.Sprint(edges), m, ax, op)
 			}
 		}
 		i := length - 1
@@ -111,9 +119,9 @@ func TestCycleMatchesSuite(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.suiteName, err)
 		}
-		for _, m := range []Model{SC, TSO, PSO} {
-			want := AxiomaticAllowed(suiteTest, suiteTest.Target, m)
-			got := AxiomaticAllowed(gen, gen.Target, m)
+		for _, m := range []memmodel.Model{memmodel.SC, memmodel.TSO, memmodel.PSO} {
+			want := axiomAllows(t, suiteTest, suiteTest.Target, m)
+			got := axiomAllows(t, gen, gen.Target, m)
 			if got != want {
 				t.Errorf("%s under %v: generated %v, suite %v", c.suiteName, m, got, want)
 			}

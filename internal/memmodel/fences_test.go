@@ -1,9 +1,10 @@
-package memmodel
+package memmodel_test
 
 import (
 	"testing"
 
 	"perple/internal/litmus"
+	"perple/internal/memmodel"
 )
 
 // TestFullFencingRestoresSC is the classic theorem as an oracle: a test
@@ -18,9 +19,9 @@ func TestFullFencingRestoresSC(t *testing.T) {
 			if err := fenced.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			scSet := outcomeKeySet(AllowedOutcomes(e.Test, SC))
-			for _, m := range []Model{TSO, PSO} {
-				fencedSet := outcomeKeySet(AllowedOutcomes(fenced, m))
+			scSet := outcomeKeySet(axiomOutcomes(t, e.Test, memmodel.SC))
+			for _, m := range []memmodel.Model{memmodel.TSO, memmodel.PSO} {
+				fencedSet := outcomeKeySet(axiomOutcomes(t, fenced, m))
 				if len(fencedSet) != len(scSet) {
 					t.Errorf("%v: fenced outcome set has %d entries, SC has %d",
 						m, len(fencedSet), len(scSet))
@@ -96,7 +97,7 @@ func TestRelabelLocations(t *testing.T) {
 		t.Errorf("locs = %v", locs)
 	}
 	// Classification is invariant under relabeling.
-	if AxiomaticAllowed(out, out.Target, TSO) != AxiomaticAllowed(sb, sb.Target, TSO) {
+	if axiomAllows(t, out, out.Target, memmodel.TSO) != axiomAllows(t, sb, sb.Target, memmodel.TSO) {
 		t.Error("relabeling changed the TSO classification")
 	}
 	// Collapsing two locations is rejected.

@@ -1,14 +1,18 @@
-// Package memmodel decides which litmus test outcomes are allowed under
-// sequential consistency and under x86-TSO. It plays the role the herd
-// simulator plays in the PerpLE paper (classifying Table II targets as
-// allowed or forbidden) and doubles as an internal soundness oracle: the
-// axiomatic checker (axiomatic.go, built on happens-before graphs) and an
-// independent operational enumerator (operational.go, an explicit
-// store-buffer machine) must agree, and everything the simulated machine
-// in internal/sim produces must be allowed here.
+// Package memmodel names the memory consistency models (SC, x86-TSO,
+// PSO) and holds the operational store-buffer machine that explores every
+// interleaving of a litmus test under one of them. The machine is an
+// independent method, not a second encoding of the axioms: the axiomatic
+// checker in internal/axiom, which classifies Table II targets the way
+// herd does in the PerpLE paper, is cross-validated against it, and
+// everything the simulated machine in internal/sim produces must be
+// allowed by it.
 package memmodel
 
-import "fmt"
+import (
+	"fmt"
+
+	"perple/internal/litmus"
+)
 
 // Model selects a memory consistency model.
 type Model int
@@ -43,4 +47,11 @@ func (m Model) String() string {
 	default:
 		return fmt.Sprintf("Model(%d)", int(m))
 	}
+}
+
+// State is one final state of a litmus test execution: the register file
+// and the final memory.
+type State struct {
+	Regs [][]int64
+	Mem  map[litmus.Loc]int64
 }

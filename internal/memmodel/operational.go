@@ -34,7 +34,7 @@ type opState struct {
 // may drain, so stores to different locations leave the buffer out of
 // order. The SC machine writes memory directly and treats MFENCE as a
 // no-op.
-func OperationalAllowedSet(t *litmus.Test, m Model) []AxiomaticResult {
+func OperationalAllowedSet(t *litmus.Test, m Model) []State {
 	locs := t.Locs()
 	locIdx := make(map[litmus.Loc]int, len(locs))
 	for i, l := range locs {
@@ -55,7 +55,7 @@ func OperationalAllowedSet(t *litmus.Test, m Model) []AxiomaticResult {
 	}
 
 	seen := map[string]bool{}
-	finals := map[string]AxiomaticResult{}
+	finals := map[string]State{}
 
 	var visit func(s opState)
 	visit = func(s opState) {
@@ -122,15 +122,13 @@ func OperationalAllowedSet(t *litmus.Test, m Model) []AxiomaticResult {
 		}
 
 		if !progressed {
-			// Terminal: all threads done and all buffers drained.
-			res := AxiomaticResult{Regs: s.regs, Mem: map[litmus.Loc]int64{}}
+			// Terminal: all threads done and all buffers drained, so the
+			// (already unique) state key identifies the final state.
+			res := State{Regs: s.regs, Mem: map[litmus.Loc]int64{}}
 			for i, l := range locs {
 				res.Mem[l] = s.mem[i]
 			}
-			k := resultKey(t, res)
-			if _, ok := finals[k]; !ok {
-				finals[k] = res
-			}
+			finals[key] = res
 		}
 	}
 	visit(init)
@@ -140,7 +138,7 @@ func OperationalAllowedSet(t *litmus.Test, m Model) []AxiomaticResult {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	out := make([]AxiomaticResult, len(keys))
+	out := make([]State, len(keys))
 	for i, k := range keys {
 		out[i] = finals[k]
 	}
@@ -221,4 +219,15 @@ func encodeState(s *opState, locIdx map[litmus.Loc]int) string {
 		b = appendInt(b, v)
 	}
 	return string(b)
+}
+
+func appendInt(b []byte, v int64) []byte {
+	if v < 0 {
+		b = append(b, '-')
+		v = -v
+	}
+	if v >= 10 {
+		b = appendInt(b, v/10)
+	}
+	return append(b, byte('0'+v%10), ',')
 }

@@ -1,10 +1,11 @@
-package memmodel
+package memmodel_test
 
 import (
 	"math/rand"
 	"testing"
 
 	"perple/internal/litmus"
+	"perple/internal/memmodel"
 )
 
 // TestPSOClassification pins the expected PSO status of representative
@@ -42,7 +43,7 @@ func TestPSOClassification(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := AxiomaticAllowed(test, test.Target, PSO); got != allowed {
+		if got := axiomAllows(t, test, test.Target, memmodel.PSO); got != allowed {
 			t.Errorf("%s: PSO allows target = %v, want %v", name, got, allowed)
 		}
 	}
@@ -54,14 +55,15 @@ func TestPSOAgreement(t *testing.T) {
 	for _, e := range litmus.Suite() {
 		e := e
 		t.Run(e.Test.Name, func(t *testing.T) {
-			ax := resultSetKeys(e.Test, AxiomaticAllowedSet(e.Test, PSO))
-			op := resultSetKeys(e.Test, OperationalAllowedSet(e.Test, PSO))
-			diff(t, e.Test.Name, PSO, ax, op)
+			ax := resultSetKeys(e.Test, axiomStates(t, e.Test, memmodel.PSO))
+			op := resultSetKeys(e.Test, memmodel.OperationalAllowedSet(e.Test, memmodel.PSO))
+			diff(t, e.Test.Name, memmodel.PSO, ax, op)
 		})
 	}
 }
 
-// TestPSOAgreementRandom fuzzes the PSO equivalence like the TSO test.
+// TestPSOAgreementRandom checks the equivalence on a second generated
+// corpus, for PSO and for the stronger models alongside it.
 func TestPSOAgreementRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	cfg := litmus.GenConfig{
@@ -74,11 +76,13 @@ func TestPSOAgreementRandom(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		test := litmus.Generate(rng, cfg, "psofuzz")
-		ax := resultSetKeys(test, AxiomaticAllowedSet(test, PSO))
-		op := resultSetKeys(test, OperationalAllowedSet(test, PSO))
-		if !diff(t, test.Name, PSO, ax, op) {
-			t.Logf("failing test:\n%s", litmus.Format(test))
-			return
+		for _, m := range memmodel.Models {
+			ax := resultSetKeys(test, axiomStates(t, test, m))
+			op := resultSetKeys(test, memmodel.OperationalAllowedSet(test, m))
+			if !diff(t, test.Name, m, ax, op) {
+				t.Logf("failing test:\n%s", litmus.Format(test))
+				return
+			}
 		}
 	}
 }
@@ -87,9 +91,9 @@ func TestPSOAgreementRandom(t *testing.T) {
 // only add behaviours).
 func TestModelHierarchy(t *testing.T) {
 	for _, e := range litmus.Suite() {
-		sc := resultSetKeys(e.Test, AxiomaticAllowedSet(e.Test, SC))
-		tso := resultSetKeys(e.Test, AxiomaticAllowedSet(e.Test, TSO))
-		pso := resultSetKeys(e.Test, AxiomaticAllowedSet(e.Test, PSO))
+		sc := resultSetKeys(e.Test, axiomStates(t, e.Test, memmodel.SC))
+		tso := resultSetKeys(e.Test, axiomStates(t, e.Test, memmodel.TSO))
+		pso := resultSetKeys(e.Test, axiomStates(t, e.Test, memmodel.PSO))
 		for k := range sc {
 			if !tso[k] {
 				t.Errorf("%s: SC result %q not in TSO", e.Test.Name, k)
@@ -104,10 +108,10 @@ func TestModelHierarchy(t *testing.T) {
 }
 
 func TestPSOString(t *testing.T) {
-	if PSO.String() != "PSO" {
-		t.Errorf("PSO renders as %q", PSO.String())
+	if memmodel.PSO.String() != "PSO" {
+		t.Errorf("PSO renders as %q", memmodel.PSO.String())
 	}
-	if len(Models) != 3 {
-		t.Errorf("Models = %v", Models)
+	if len(memmodel.Models) != 3 {
+		t.Errorf("Models = %v", memmodel.Models)
 	}
 }

@@ -6,8 +6,8 @@
 //
 //   - litmus tests: building, parsing, printing, the Table II suite
 //     (Suite, SuiteTest, ParseLitmus, FormatLitmus, NewTest helpers);
-//   - memory-model checking: AllowedTSO/AllowedSC and outcome sets
-//     (herd-lite, used to classify targets);
+//   - memory-model checking: Allowed and AllowedOutcomes under SC,
+//     x86-TSO and PSO (herd-lite, used to classify targets);
 //   - the Converter: Convert, ConvertOutcome, generated artifacts
 //     (GeneratedFiles);
 //   - the counters: NewCounter/NewTargetCounter with CountExhaustive
@@ -30,6 +30,7 @@
 package perple
 
 import (
+	"perple/internal/axiom"
 	"perple/internal/core"
 	"perple/internal/experiments"
 	"perple/internal/harness"
@@ -146,26 +147,31 @@ func FormatLitmus(t *Test) string { return litmus.Format(t) }
 
 // ----- memory-model checking (herd-lite) -----
 
-// Allowed reports whether the given memory model allows the outcome.
-func Allowed(t *Test, o Outcome, m Model) bool {
-	return memmodel.AxiomaticAllowed(t, o, m)
+// Allowed reports whether memory model m allows outcome o of the test.
+// The check enumerates exactly: for a test beyond the cutoff (4 threads,
+// 8 memory events) it returns the refusal as an error, never a guess.
+func Allowed(t *Test, o Outcome, m Model) (bool, error) {
+	return axiom.Allowed(t, o, m, axiom.DefaultLimits())
 }
 
-// AllowedTSO reports whether x86-TSO allows the outcome of the test.
-func AllowedTSO(t *Test, o Outcome) bool {
-	return memmodel.AxiomaticAllowed(t, o, memmodel.TSO)
+// AllowedOutcomes returns the test's register outcomes (AllOutcomes
+// order) that memory model m allows.
+func AllowedOutcomes(t *Test, m Model) ([]Outcome, error) {
+	states, err := axiom.States(t, m, axiom.DefaultLimits())
+	if err != nil {
+		return nil, err
+	}
+	var out []Outcome
+	for _, o := range t.AllOutcomes() {
+		for _, s := range states {
+			if o.HoldsFull(s.Regs, s.Mem) {
+				out = append(out, o)
+				break
+			}
+		}
+	}
+	return out, nil
 }
-
-// AllowedSC reports whether sequential consistency allows the outcome.
-func AllowedSC(t *Test, o Outcome) bool {
-	return memmodel.AxiomaticAllowed(t, o, memmodel.SC)
-}
-
-// TSOOutcomes returns the test's register outcomes x86-TSO allows.
-func TSOOutcomes(t *Test) []Outcome { return memmodel.AllowedOutcomes(t, memmodel.TSO) }
-
-// SCOutcomes returns the test's register outcomes SC allows.
-func SCOutcomes(t *Test) []Outcome { return memmodel.AllowedOutcomes(t, memmodel.SC) }
 
 // ----- the Converter and counters -----
 

@@ -35,16 +35,24 @@ func TestPublicAPIPipeline(t *testing.T) {
 	}
 
 	// Model classification.
-	if AllowedSC(test, test.Target) {
+	if targetAllowed(t, test, SC) {
 		t.Error("sb target should be SC-forbidden")
 	}
-	if !AllowedTSO(test, test.Target) {
+	if !targetAllowed(t, test, TSO) {
 		t.Error("sb target should be TSO-allowed")
 	}
-	if !Allowed(test, test.Target, PSO) {
+	if !targetAllowed(t, test, PSO) {
 		t.Error("sb target should be PSO-allowed")
 	}
-	if len(SCOutcomes(test)) != 3 || len(TSOOutcomes(test)) != 4 {
+	scOut, err := AllowedOutcomes(test, SC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsoOut, err := AllowedOutcomes(test, TSO)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(scOut) != 3 || len(tsoOut) != 4 {
 		t.Error("outcome sets wrong")
 	}
 
@@ -113,7 +121,7 @@ func TestPublicAPIPipeline(t *testing.T) {
 
 	// Transformations and generators.
 	fenced := WithFences(test)
-	if AllowedTSO(fenced, fenced.Target) {
+	if targetAllowed(t, fenced, TSO) {
 		t.Error("fully fenced sb target should be TSO-forbidden")
 	}
 	relabeled, err := RelabelLocations(test, map[Loc]Loc{"x": "data"})
@@ -124,7 +132,7 @@ func TestPublicAPIPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !AllowedTSO(cyc, cyc.Target) || AllowedSC(cyc, cyc.Target) {
+	if !targetAllowed(t, cyc, TSO) || targetAllowed(t, cyc, SC) {
 		t.Error("cycle classification wrong")
 	}
 	edges, err := ParseCycle("PodWW Rfe PodRR Fre")
@@ -152,9 +160,18 @@ func TestPublicAPIPipeline(t *testing.T) {
 	if err := custom.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if AllowedTSO(custom, custom.Target) {
+	if targetAllowed(t, custom, TSO) {
 		t.Error("fenced sb should be TSO-forbidden")
 	}
+}
+
+func targetAllowed(t *testing.T, test *Test, m Model) bool {
+	t.Helper()
+	ok, err := Allowed(test, test.Target, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ok
 }
 
 // TestPublicAPITrace exercises the trace plumbing through the facade.
