@@ -33,13 +33,7 @@ func SortedDump(m map[string]int, emit func(string, int)) {
 	}
 }
 
-// Telemetry reads the wall clock under the unified suppression syntax.
+// Telemetry reads the wall clock under a reasoned suppression.
 func Telemetry() int64 {
 	return time.Now().UnixNano() //perple:allow nodeterminism operator telemetry; never feeds results
-}
-
-// LegacyTelemetry uses the retired standalone script's syntax, still
-// honored so out-of-tree suppressions keep working.
-func LegacyTelemetry() int64 {
-	return time.Now().UnixNano() //nodeterminism:allow wall-clock telemetry; never feeds results
 }

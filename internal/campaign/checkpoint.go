@@ -14,8 +14,9 @@ import (
 
 // checkpointVersion guards the snapshot format; version 2 wraps the
 // snapshot in a CRC-carrying envelope so disk corruption is detected at
-// load instead of silently mis-merging. Version-1 snapshots (no
-// envelope) are still readable for migration.
+// load instead of silently mis-merging. It is the only readable
+// version: a bare version-1 snapshot is refused like any undecodable
+// file.
 const checkpointVersion = 2
 
 // checkpointPrevSuffix names the rotated last-good snapshot kept beside
@@ -206,9 +207,8 @@ func LoadCheckpointLedgerFS(fsys CheckpointFS, path string, spec Spec) (done map
 	return nil, nil, false, err
 }
 
-// loadCheckpointFile reads one snapshot file, verifying the CRC for
-// version-2 envelopes and accepting bare version-1 snapshots for
-// migration.
+// loadCheckpointFile reads one snapshot file and verifies its
+// envelope's CRC.
 func loadCheckpointFile(fsys CheckpointFS, path string, spec Spec) (map[int]*JobResult, *LedgerSnapshot, error) {
 	data, err := fsys.ReadFile(path)
 	if err != nil {
@@ -229,14 +229,11 @@ func loadCheckpointFile(fsys CheckpointFS, path string, spec Spec) (map[int]*Job
 		if err := json.Unmarshal(env.Payload, &cp); err != nil {
 			return nil, nil, fmt.Errorf("campaign: checkpoint %s payload: %v: %w", path, err, ErrCheckpointCorrupt)
 		}
-	case json.Unmarshal(data, &cp) == nil && cp.Version == 1:
-		// Legacy (pre-CRC) snapshot: accepted as-is for migration; the
-		// next save rewrites it in envelope form.
 	default:
 		if json.Unmarshal(data, &env) == nil && env.Version > checkpointVersion {
 			return nil, nil, fmt.Errorf("campaign: checkpoint %s has version %d, want ≤ %d", path, env.Version, checkpointVersion)
 		}
-		return nil, nil, fmt.Errorf("campaign: checkpoint %s is not a decodable snapshot: %w", path, ErrCheckpointCorrupt)
+		return nil, nil, fmt.Errorf("campaign: checkpoint %s is not a decodable version-%d snapshot: %w", path, checkpointVersion, ErrCheckpointCorrupt)
 	}
 	if err := cp.Spec.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("campaign: checkpoint %s spec: %w", path, err)

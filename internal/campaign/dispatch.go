@@ -14,32 +14,36 @@ import (
 // heartbeating before it requeues.
 const DefaultLeaseTTL = 60 * time.Second
 
-// Dispatcher runs one campaign in distributed mode: instead of
-// executing jobs on a local worker pool, it serves them to remote
-// workers as leases and merges their uploaded results. The determinism
-// contract is identical to the local scheduler's — job seeds are
-// identity-derived and merging is order-invariant — so a fleet of k
-// workers reaches byte-identical final results to a local run of the
-// same spec, whatever the interleaving of leases, expiries, and
-// uploads.
+// Dispatcher owns one campaign's job ledger: it hands jobs out as
+// leases, merges the reported results, charges failures against retry
+// budgets, and keeps the checkpoint. It is the only execution loop: a
+// fleet reaches it over HTTP (perple-worker), and Campaign.Run drives
+// it with in-process executors. Job seeds are identity-derived and
+// merging is order-invariant, so any number of executors, local or
+// remote, reaches byte-identical final results whatever the
+// interleaving of leases, expiries, and uploads.
 //
 // Without a WAL, leases are in-memory only; the checkpoint persists
-// completed results exactly as the local scheduler does, and a
-// dispatcher rebuilt after a server restart restores the done set and
-// re-leases everything that was in flight — at-least-once delivery,
-// made safe by the completion fence and per-shard determinism. With
-// Options.WALPath set, the durable dispatch plane (wal.go) logs every
-// ledger transition, and a restart replays snapshot + log suffix to
-// reconstruct the exact ledger — live leases, retry budgets, and the
-// merged-lease nonces that keep duplicate-vs-fenced classification
-// precise — instead of forgetting it.
+// completed results, and a dispatcher rebuilt after a server restart
+// restores the done set and re-leases everything that was in flight —
+// at-least-once delivery, made safe by the completion fence and
+// per-shard determinism. With Options.WALPath set, the durable dispatch
+// plane (wal.go) logs every ledger transition, and a restart replays
+// snapshot + log suffix to reconstruct the exact ledger — live leases,
+// retry budgets, and the merged-lease nonces that keep
+// duplicate-vs-fenced classification precise — instead of forgetting
+// it.
 type Dispatcher struct {
-	camp   *Campaign
-	opts   Options
-	ttl    time.Duration
-	every  int
-	now    func() time.Time
-	corpus []CorpusTest
+	camp  *Campaign
+	opts  Options
+	ttl   time.Duration
+	every int
+	now   func() time.Time
+
+	// corpus is the wire form of the test set, rendered on the first
+	// Corpus call: a local run never asks for it.
+	corpusOnce sync.Once
+	corpus     []CorpusTest
 
 	metrics *Metrics
 
@@ -66,9 +70,9 @@ type Dispatcher struct {
 	killHook func(point string) bool
 }
 
-// NewDispatcher validates and restores like Campaign.Run — checkpointed
-// results are loaded and only the remaining jobs enter the lease queue
-// — then stands ready to serve leases. ttl ≤ 0 selects DefaultLeaseTTL.
+// NewDispatcher validates and restores — checkpointed results are
+// loaded and only the remaining jobs enter the lease queue — then
+// stands ready to serve leases. ttl ≤ 0 selects DefaultLeaseTTL.
 func NewDispatcher(camp *Campaign, ttl time.Duration, opts Options) (*Dispatcher, error) {
 	if ttl <= 0 {
 		ttl = DefaultLeaseTTL
@@ -131,7 +135,6 @@ func NewDispatcher(camp *Campaign, ttl time.Duration, opts Options) (*Dispatcher
 		every:        every,
 		compactEvery: compactEvery,
 		now:          time.Now,
-		corpus:       buildCorpus(camp),
 		metrics:      metrics,
 		results:      results,
 		done:         done,
@@ -313,15 +316,13 @@ func (d *Dispatcher) setClock(now func() time.Time) {
 	d.q.now = now
 }
 
-// Corpus returns the wire form of the campaign's spec and test set,
-// advertising the upload codecs this dispatcher accepts (binary
-// preferred; gzip-JSON as the compatibility floor).
+// Corpus returns the wire form of the campaign's spec and test set.
 func (d *Dispatcher) Corpus() CorpusResponse {
+	d.corpusOnce.Do(func() { d.corpus = buildCorpus(d.camp) })
 	return CorpusResponse{
 		Version: ProtocolVersion,
 		Spec:    d.camp.Spec,
 		Tests:   d.corpus,
-		Wire:    []string{WireBinary, WireJSON},
 	}
 }
 
@@ -366,16 +367,20 @@ func (d *Dispatcher) finish() {
 		return
 	}
 	d.finished = true
+	// A finished run has nothing queued or in flight: leases still out
+	// were abandoned by a cancel and can no longer merge.
+	d.metrics.QueueDepth.Store(0)
+	d.metrics.InFlight.Store(0)
 	if d.opts.CheckpointPath != "" && !d.killed {
 		if d.wal != nil {
 			d.wal.syncNow()
-			d.checkpointErr = saveCheckpointLedgerRetry(d.opts.CheckpointFS, d.opts.CheckpointPath, d.camp.Spec, d.done, d.ledgerSnapshotLocked(), d.metrics)
+			d.checkpointErr = saveCheckpointRetry(d.opts.CheckpointFS, d.opts.CheckpointPath, d.camp.Spec, d.done, d.ledgerSnapshotLocked(), d.metrics)
 			if d.checkpointErr == nil {
 				_ = d.wal.rotate()
 			}
 			d.wal.close()
 		} else if d.sinceSave > 0 {
-			d.checkpointErr = saveCheckpointRetry(d.opts.CheckpointFS, d.opts.CheckpointPath, d.camp.Spec, d.done, d.metrics)
+			d.checkpointErr = saveCheckpointRetry(d.opts.CheckpointFS, d.opts.CheckpointPath, d.camp.Spec, d.done, nil, d.metrics)
 		}
 	}
 	close(d.finishCh)
@@ -607,15 +612,14 @@ func (d *Dispatcher) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
 
 // Complete merges a worker's uploaded batch: results behind the
 // completion fence, failures against retry budgets, releases back to
-// the queue, and piggybacked heartbeats into lease extensions.
-// payloadBytes is the encoded upload size, for the upload-bytes
-// counter.
-func (d *Dispatcher) Complete(req CompleteRequest, payloadBytes int) CompleteResponse {
+// the queue, and piggybacked heartbeats into lease extensions. Once
+// the run has finished — its totals handed out by Outcome, its closing
+// checkpoint written — nothing changes any more: a result not already
+// merged counts as fenced, the rest of the batch is ignored, and the
+// answer is Done.
+func (d *Dispatcher) Complete(req CompleteRequest) CompleteResponse {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.metrics.UploadBytes.Add(int64(payloadBytes))
-	d.metrics.WireBytesRecv.Add(int64(payloadBytes))
-	d.metrics.WireBatch.Observe(len(req.Results))
 	var resp CompleteResponse
 	for _, wr := range req.Results {
 		if wr.Result == nil || !d.resultMatchesJob(wr.Result) {
@@ -637,6 +641,11 @@ func (d *Dispatcher) Complete(req CompleteRequest, payloadBytes int) CompleteRes
 				d.metrics.ResultsFenced.Add(1)
 				resp.Fenced++
 			}
+			continue
+		}
+		if d.finished {
+			d.metrics.ResultsFenced.Add(1)
+			resp.Fenced++
 			continue
 		}
 		wasLeased := d.leasedLocked(wr.Result.JobID)
@@ -668,6 +677,10 @@ func (d *Dispatcher) Complete(req CompleteRequest, payloadBytes int) CompleteRes
 		default:
 			resp.Invalid++
 		}
+	}
+	if d.finished {
+		resp.Done = true
+		return resp
 	}
 	for _, wf := range req.Failures {
 		requeued, failed := d.q.fail(req.Worker, LeaseRef{JobID: wf.JobID, LeaseID: wf.LeaseID}, wf.Err)
@@ -741,8 +754,12 @@ func (d *Dispatcher) resultMatchesJob(jr *JobResult) bool {
 }
 
 // mergeLocked folds one accepted result into the totals and the
-// checkpoint batch. Caller holds d.mu.
+// checkpoint batch, stamping it with the attempts its ledger row
+// consumed. Caller holds d.mu.
 func (d *Dispatcher) mergeLocked(jr *JobResult, wasLeased bool) {
+	if e, ok := d.q.entries[jr.JobID]; ok {
+		jr.Retries = e.attempts
+	}
 	d.results.Add(jr)
 	d.done[jr.JobID] = jr
 	d.sinceSave++

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -36,7 +37,7 @@ func fleetSpec(t *testing.T) Spec {
 	return spec
 }
 
-// serialCanonical runs the spec on the local scheduler and returns the
+// serialCanonical runs the spec locally (Campaign.Run) and returns the
 // canonical result document — the reference bytes every fleet
 // configuration must reproduce exactly.
 func serialCanonical(t *testing.T, spec Spec) []byte {
@@ -276,7 +277,7 @@ func TestDispatcherResumeMidLease(t *testing.T) {
 	for _, g := range grants[:5] {
 		partial.Results = append(partial.Results, WorkerResult{LeaseID: g.LeaseID, Result: fakeResult(g.Job)})
 	}
-	if resp := d1.Complete(partial, 0); resp.Merged != 5 {
+	if resp := d1.Complete(partial); resp.Merged != 5 {
 		t.Fatalf("pre-restart merge = %+v", resp)
 	}
 	// d1 is now abandoned with total-5 shards still leased — the restart.
@@ -292,7 +293,7 @@ func TestDispatcherResumeMidLease(t *testing.T) {
 
 	// The dead server's worker retries its upload against the new one:
 	// every already-merged shard must fence, not double-merge.
-	if resp := d2.Complete(partial, 0); resp.Fenced != 5 || resp.Merged != 0 {
+	if resp := d2.Complete(partial); resp.Fenced != 5 || resp.Merged != 0 {
 		t.Fatalf("post-restart duplicate upload = %+v, want 5 fenced", resp)
 	}
 
@@ -304,7 +305,7 @@ func TestDispatcherResumeMidLease(t *testing.T) {
 	for _, g := range regrants {
 		rest.Results = append(rest.Results, WorkerResult{LeaseID: g.LeaseID, Result: fakeResult(g.Job)})
 	}
-	resp := d2.Complete(rest, 0)
+	resp := d2.Complete(rest)
 	if resp.Merged != total-5 || !resp.Done {
 		t.Fatalf("final merge = %+v", resp)
 	}
@@ -372,14 +373,14 @@ func TestLeaseExpiryRequeueDeterministic(t *testing.T) {
 		late := CompleteRequest{Worker: "slow", Results: []WorkerResult{
 			{LeaseID: first[0].LeaseID, Result: fakeResult(first[0].Job)},
 		}}
-		if resp := d.Complete(late, 0); resp.Merged != 1 {
+		if resp := d.Complete(late); resp.Merged != 1 {
 			t.Fatalf("late pre-expiry result = %+v, want merged", resp)
 		}
 		// The replacement holder finishes the same shard: fenced.
 		dup := CompleteRequest{Worker: "fast", Results: []WorkerResult{
 			{LeaseID: second[0].LeaseID, Result: fakeResult(second[0].Job)},
 		}}
-		if resp := d.Complete(dup, 0); resp.Fenced != 1 || resp.Merged != 0 {
+		if resp := d.Complete(dup); resp.Fenced != 1 || resp.Merged != 0 {
 			t.Fatalf("replacement result = %+v, want fenced", resp)
 		}
 		if d.metrics.LeaseRequeues.Load() != 3 {
@@ -498,5 +499,145 @@ func TestMetricsPrometheusNegotiation(t *testing.T) {
 		if !strings.Contains(text, family) {
 			t.Fatalf("Prometheus exposition missing %q:\n%s", family, text)
 		}
+	}
+}
+
+// TestDispatcherCompleteAfterFinishMergesNothing pins the end of a run:
+// once Cancel (or the last merge) has finished it, Outcome's totals and
+// the closing checkpoint are final. A result still in flight — here the
+// very lease granted before the cancel — must not merge into them; it
+// counts as fenced and the worker is told the run is done.
+func TestDispatcherCompleteAfterFinishMergesNothing(t *testing.T) {
+	camp, err := New(smallSpec(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDispatcher(camp, time.Minute, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grants := d.Lease(LeaseRequest{Worker: "w", Max: 2}).Grants
+	if len(grants) != 2 {
+		t.Fatalf("granted %d, want 2", len(grants))
+	}
+	d.Cancel()
+	res, _, cancelled := d.Outcome()
+	if !cancelled {
+		t.Fatal("Outcome does not report the cancel")
+	}
+	before, err := res.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := d.Complete(CompleteRequest{
+		Worker:   "w",
+		Results:  []WorkerResult{{LeaseID: grants[0].LeaseID, Result: fakeResult(grants[0].Job)}},
+		Failures: []WorkerFailure{{LeaseID: grants[1].LeaseID, JobID: grants[1].Job.ID, Err: "late"}},
+	})
+	if resp.Merged != 0 || resp.Fenced != 1 || resp.Failed != 0 || resp.Requeued != 0 || !resp.Done {
+		t.Fatalf("late upload = %+v, want one fenced result and Done", resp)
+	}
+	after, err := res.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("late upload changed the finished totals:\nbefore:\n%s\nafter:\n%s", before, after)
+	}
+	if got := d.metrics.JobsCompleted.Load(); got != 0 {
+		t.Fatalf("JobsCompleted = %d after a late upload, want 0", got)
+	}
+}
+
+// TestLocalAndFleetRecordEqualRetries runs one spec with the same
+// injected failures locally and as a two-worker fleet: some jobs fail
+// once and then succeed, some never succeed. Both modes share the
+// Dispatcher's retry budget, so they must dead-letter the same jobs
+// with the same attempts and errors (the canonical bytes), count the
+// same retries, and stamp every merged result with the same Retries.
+func TestLocalAndFleetRecordEqualRetries(t *testing.T) {
+	spec := fleetSpec(t)
+	spec.MaxRetries = 2
+	injector := func() func(context.Context, Job, *litmus.Test, Spec) (*JobResult, error) {
+		var mu sync.Mutex
+		attempts := map[int]int{}
+		return func(_ context.Context, job Job, _ *litmus.Test, _ Spec) (*JobResult, error) {
+			mu.Lock()
+			attempts[job.ID]++
+			n := attempts[job.ID]
+			mu.Unlock()
+			switch {
+			case job.ID%4 == 0:
+				return nil, fmt.Errorf("job %d poisoned (attempt %d)", job.ID, n)
+			case job.ID%4 == 1 && n == 1:
+				return nil, errors.New("transient")
+			}
+			return fakeResult(job), nil
+		}
+	}
+	retriesOf := func(results map[int]*JobResult) map[int]int {
+		out := map[int]int{}
+		for id, jr := range results {
+			out[id] = jr.Retries
+		}
+		return out
+	}
+
+	camp, err := New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	localMetrics := &Metrics{}
+	localResults := map[int]*JobResult{}
+	res, err := camp.Run(context.Background(), Options{
+		Metrics:   localMetrics,
+		OnJobDone: func(jr *JobResult) { localResults[jr.JobID] = jr },
+		runJob:    injector(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := res.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Failures) == 0 {
+		t.Fatal("no job dead-lettered; the injector is not biting")
+	}
+
+	srv, ts := newTestServer(t)
+	id := submitDispatch(t, ts, spec)
+	run := injector()
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i := range errs {
+		w := NewWorker(WorkerOptions{BaseURL: ts.URL, Campaign: id, Name: fmt.Sprintf("w%d", i), Parallel: 2, runJob: run})
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = w.Run(context.Background())
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d: %v", i, err)
+		}
+	}
+	if state := pollState(t, ts, id, 30*time.Second); state != StateDone {
+		t.Fatalf("fleet campaign ended %q", state)
+	}
+	if got := fetchCanonical(t, ts, id); !bytes.Equal(got, want) {
+		t.Fatalf("fleet failures diverged from the local run:\nlocal:\n%s\nfleet:\n%s", want, got)
+	}
+	d := srv.DispatcherForTest(id)
+	d.mu.Lock()
+	fleetRetries := retriesOf(d.done)
+	d.mu.Unlock()
+	if local := retriesOf(localResults); !reflect.DeepEqual(local, fleetRetries) {
+		t.Fatalf("per-result retries differ:\nlocal %v\nfleet %v", local, fleetRetries)
+	}
+	if l, f := localMetrics.Retries.Load(), d.metrics.Retries.Load(); l != f || l == 0 {
+		t.Fatalf("retries: local %d, fleet %d (want equal and nonzero)", l, f)
 	}
 }

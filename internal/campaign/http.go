@@ -25,10 +25,10 @@ const (
 	StateFailed    = "failed"
 )
 
-// serverRun is one submitted campaign: the scheduler invocation plus the
-// bookkeeping the HTTP surface reports. Local runs execute on the
-// in-process worker pool; dispatch runs hold a Dispatcher serving the
-// lease endpoints instead.
+// serverRun is one submitted campaign: the run plus the bookkeeping the
+// HTTP surface reports. Local runs execute through Campaign.Run's
+// in-process executors; dispatch runs hold a Dispatcher serving the
+// lease endpoints to fleet workers instead.
 type serverRun struct {
 	id         string
 	spec       Spec
@@ -177,7 +177,7 @@ func NewServer() *Server {
 //	GET  /campaigns/{id}/corpus      dispatch: spec + test sources
 //	POST /campaigns/{id}/lease       dispatch: pull jobs
 //	POST /campaigns/{id}/heartbeat   dispatch: extend leases
-//	POST /campaigns/{id}/complete    dispatch: upload results (gzip JSON)
+//	POST /campaigns/{id}/complete    dispatch: upload results (PWB1 binary)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -338,8 +338,8 @@ func writePrometheus(w io.Writer, campaigns, running int, uptimeSec float64, lea
 		{"perple_heartbeats_total", "counter", "Lease extensions from worker heartbeats.", float64(agg.Heartbeats)},
 		{"perple_results_fenced_total", "counter", "Duplicate completions dropped by the fence.", float64(agg.ResultsFenced)},
 		{"perple_duplicate_uploads_total", "counter", "Same-lease upload re-deliveries acknowledged idempotently.", float64(agg.DuplicateUploads)},
-		{"perple_upload_bytes_total", "counter", "Compressed result payload bytes received.", float64(agg.UploadBytes)},
-		{"perple_wire_bytes_recv_total", "counter", "Result-upload body bytes received, any codec.", float64(agg.WireBytesRecv)},
+		{"perple_upload_bytes_total", "counter", "Encoded result payload bytes received.", float64(agg.UploadBytes)},
+		{"perple_wire_bytes_recv_total", "counter", "Result-upload body bytes received.", float64(agg.WireBytesRecv)},
 		{"perple_wire_bytes_sent_total", "counter", "Dispatch-endpoint response body bytes sent.", float64(agg.WireBytesSent)},
 		{"perple_wire_encode_ns_total", "counter", "Host nanoseconds encoding dispatch responses.", float64(agg.WireEncodeNs)},
 		{"perple_wire_decode_ns_total", "counter", "Host nanoseconds decoding result uploads.", float64(agg.WireDecodeNs)},
@@ -511,14 +511,15 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, req *http.Request) {
 	writeJSONCounted(w, http.StatusOK, disp.Heartbeat(hr), disp.metrics)
 }
 
-// handleComplete is the upload sink. The body is read into a pooled
-// buffer and decoded by Content-Type — PWB1 binary, gzip-JSON, or plain
-// JSON — so merged shards flow from the wire into the campaign
-// accumulator through reused scratch, never through per-request
-// payload-sized garbage. A frame error (truncated or bit-damaged
-// binary upload) is answered 400 like any other undecodable body; the
-// worker's retry loop re-sends the batch, and the fence keeps the
-// re-delivery idempotent.
+// handleComplete is the upload sink. The body — a PWB1 binary frame,
+// the only upload codec — is read into a pooled buffer and decoded, so
+// merged shards flow from the wire into the campaign accumulator
+// through reused scratch, never through per-request payload-sized
+// garbage. A frame error (truncated or bit-damaged upload) is answered
+// 400 like any other undecodable body; the worker's retry loop re-sends
+// the batch, and the fence keeps the re-delivery idempotent. The wire
+// counters live here, not in Dispatcher.Complete, so a local run —
+// which reaches the dispatcher without a wire — reports no traffic.
 func (s *Server) handleComplete(w http.ResponseWriter, req *http.Request) {
 	disp := s.lookupDispatcher(w, req)
 	if disp == nil {
@@ -531,29 +532,27 @@ func (s *Server) handleComplete(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, "reading upload: %v", err)
 		return
 	}
+	if ct := req.Header.Get("Content-Type"); ct != harness.WireContentTypeBinary {
+		writeError(w, http.StatusUnsupportedMediaType, "upload Content-Type %q, want %s", ct, harness.WireContentTypeBinary)
+		return
+	}
 	body := buf.Bytes()
 	var cr CompleteRequest
 	start := time.Now()
-	var err error
-	switch {
-	case req.Header.Get("Content-Type") == harness.WireContentTypeBinary:
-		err = harness.DecodeWireBinary(body, &cr, 0)
-	case req.Header.Get("Content-Type") == harness.WireContentType,
-		req.Header.Get("Content-Encoding") == "gzip":
-		err = harness.DecodeWire(bytes.NewReader(body), &cr)
-	default:
-		err = json.Unmarshal(body, &cr)
-	}
+	err := harness.DecodeWireBinary(body, &cr, 0)
 	disp.metrics.WireDecodeNs.Add(time.Since(start).Nanoseconds())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "decoding upload: %v", err)
 		return
 	}
-	if cr.Version != 0 && cr.Version != ProtocolVersion {
+	if cr.Version != ProtocolVersion {
 		writeError(w, http.StatusBadRequest, "protocol version %d, want %d", cr.Version, ProtocolVersion)
 		return
 	}
-	writeJSONCounted(w, http.StatusOK, disp.Complete(cr, len(body)), disp.metrics)
+	disp.metrics.UploadBytes.Add(int64(len(body)))
+	disp.metrics.WireBytesRecv.Add(int64(len(body)))
+	disp.metrics.WireBatch.Observe(len(cr.Results))
+	writeJSONCounted(w, http.StatusOK, disp.Complete(cr), disp.metrics)
 }
 
 func (s *Server) lookup(req *http.Request) (*serverRun, bool) {

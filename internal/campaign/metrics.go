@@ -63,14 +63,14 @@ type Metrics struct {
 	// response) — distinct from ResultsFenced, which counts competing
 	// holders.
 	DuplicateUploads atomic.Int64
-	// UploadBytes counts compressed result-payload bytes received.
+	// UploadBytes counts encoded result-payload bytes received.
 	UploadBytes atomic.Int64
 
 	// Wire-layer counters (result codec and dispatch response path).
 
-	// WireBytesRecv counts upload-request body bytes received, whichever
-	// codec carried them (same bytes as UploadBytes, kept as a separate
-	// family so the wire layer reads as one block on /metrics).
+	// WireBytesRecv counts upload-request body bytes received (same
+	// bytes as UploadBytes, kept as a separate family so the wire layer
+	// reads as one block on /metrics).
 	WireBytesRecv atomic.Int64
 	// WireBytesSent counts dispatch-endpoint response body bytes sent.
 	WireBytesSent atomic.Int64

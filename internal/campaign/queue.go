@@ -55,6 +55,23 @@ type leaseQueue struct {
 	maxRetries int
 	nextLease  int64
 	now        func() time.Time
+
+	// expiryFloor is a lower bound on the earliest live lease expiry;
+	// zero means no lease is live. sweep skips its scan over every job
+	// while the clock is before it, which keeps a Lease or Heartbeat call
+	// O(1) instead of O(jobs). Every expiry goes through setExpiry, which
+	// lowers the floor; a lease leaving the leased state leaves it
+	// stale-low, costing one extra scan that then recomputes it.
+	expiryFloor time.Time
+}
+
+// setExpiry sets a live lease's deadline, keeping expiryFloor a lower
+// bound on every live deadline.
+func (q *leaseQueue) setExpiry(e *queueEntry, t time.Time) {
+	e.expires = t
+	if q.expiryFloor.IsZero() || t.Before(q.expiryFloor) {
+		q.expiryFloor = t
+	}
 }
 
 func newLeaseQueue(jobs []Job, ttl time.Duration, maxRetries int, now func() time.Time) *leaseQueue {
@@ -86,11 +103,24 @@ func (q *leaseQueue) requeue(id int) {
 // attempt consumed, or to done/failed when the budget is exhausted.
 // Entries are visited in job-ID order so the outcome of a sweep is
 // deterministic. It returns the requeued and newly failed entries.
+// While the clock is before expiryFloor nothing can be overdue, and the
+// scan is skipped; a scan recomputes the floor from the leases it
+// leaves live.
 func (q *leaseQueue) sweep() (requeued []*queueEntry, failed []*queueEntry) {
 	now := q.now()
+	if q.expiryFloor.IsZero() || now.Before(q.expiryFloor) {
+		return nil, nil
+	}
+	var floor time.Time
 	for _, id := range q.ids {
 		e := q.entries[id]
-		if e.state != stateLeased || e.expires.After(now) {
+		if e.state != stateLeased {
+			continue
+		}
+		if e.expires.After(now) {
+			if floor.IsZero() || e.expires.Before(floor) {
+				floor = e.expires
+			}
 			continue
 		}
 		e.attempts++
@@ -107,6 +137,7 @@ func (q *leaseQueue) sweep() (requeued []*queueEntry, failed []*queueEntry) {
 		q.requeue(id)
 		requeued = append(requeued, e)
 	}
+	q.expiryFloor = floor
 	return requeued, failed
 }
 
@@ -129,7 +160,7 @@ func (q *leaseQueue) lease(worker string, max int) []*queueEntry {
 		e.state = stateLeased
 		e.leaseID = q.nextLease
 		e.worker = worker
-		e.expires = expires
+		q.setExpiry(e, expires)
 		e.grantedAt = now
 		granted = append(granted, e)
 	}
@@ -144,7 +175,7 @@ func (q *leaseQueue) heartbeat(worker string, ref LeaseRef) bool {
 	if !ok || e.state != stateLeased || e.leaseID != ref.LeaseID || e.worker != worker {
 		return false
 	}
-	e.expires = q.now().Add(q.ttl)
+	q.setExpiry(e, q.now().Add(q.ttl))
 	return true
 }
 
@@ -311,7 +342,7 @@ func newLeaseQueueFromRows(jobs []Job, rows []LedgerRow, ttl time.Duration, maxR
 		if e.state == stateLeased {
 			e.leaseID = row.LeaseID
 			e.worker = row.Worker
-			e.expires = time.Unix(0, row.Expires)
+			q.setExpiry(e, time.Unix(0, row.Expires))
 			e.grantedAt = e.expires.Add(-ttl)
 			if row.LeaseID > q.nextLease {
 				q.nextLease = row.LeaseID
@@ -353,7 +384,7 @@ func (q *leaseQueue) applyGrant(jobID int, leaseID int64, worker string, expires
 	e.state = stateLeased
 	e.leaseID = leaseID
 	e.worker = worker
-	e.expires = expires
+	q.setExpiry(e, expires)
 	e.grantedAt = expires.Add(-q.ttl)
 	if leaseID > q.nextLease {
 		q.nextLease = leaseID
@@ -367,7 +398,7 @@ func (q *leaseQueue) applyExtend(jobID int, leaseID int64, expires time.Time) bo
 	if !ok || e.state != stateLeased || e.leaseID != leaseID {
 		return false
 	}
-	e.expires = expires
+	q.setExpiry(e, expires)
 	return true
 }
 

@@ -1,6 +1,9 @@
 package campaign
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -145,5 +148,104 @@ func TestLeaseQueueReleaseAfterReGrant(t *testing.T) {
 	}
 	if e := q.entries[0]; e.state != stateLeased || e.worker != "w2" || e.leaseID != second.leaseID {
 		t.Fatalf("stale release disturbed the new holder: %+v", e)
+	}
+}
+
+// TestLeaseQueueSweepFloorMatchesFullScan drives two identical ledgers
+// through the same random grants, heartbeats, completions, failures,
+// releases, WAL-style replays, restores from rows, and fake-clock moves
+// (backwards included). One sweeps with its expiry floor; the other has
+// its floor forced into the past before every sweep, so it always scans
+// every job. Both must requeue and dead-letter the same jobs in the same
+// sweeps and end every step with the same ledger.
+func TestLeaseQueueSweepFloorMatchesFullScan(t *testing.T) {
+	const jobs = 24
+	var list []Job
+	for i := 0; i < jobs; i++ {
+		list = append(list, Job{ID: i})
+	}
+	ids := func(es []*queueEntry) []int {
+		out := []int{}
+		for _, e := range es {
+			out = append(out, e.job.ID)
+		}
+		return out
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		now := time.Unix(1000, 0)
+		clock := func() time.Time { return now }
+		fast := newLeaseQueue(list, time.Minute, 2, clock)
+		full := newLeaseQueue(list, time.Minute, 2, clock)
+		workers := []string{"w0", "w1", "w2"}
+		for step := 0; step < 400; step++ {
+			op := rng.Intn(10)
+			job := rng.Intn(jobs)
+			worker := workers[rng.Intn(len(workers))]
+			at := now.Add(time.Duration(rng.Intn(240)-60) * time.Second)
+			for _, q := range []*leaseQueue{fast, full} {
+				e := q.entries[job]
+				ref := LeaseRef{JobID: job, LeaseID: e.leaseID}
+				switch op {
+				case 0, 1:
+					q.lease(worker, 1+job%3)
+				case 2:
+					q.heartbeat(e.worker, ref)
+				case 3:
+					q.complete(ref)
+				case 4:
+					q.fail(e.worker, ref, "injected")
+				case 5:
+					q.release(e.worker, ref)
+				case 6:
+					q.applyGrant(job, q.nextLease+1, worker, at)
+				case 7:
+					q.applyExtend(job, e.leaseID, at)
+				}
+			}
+			switch op {
+			case 8:
+				now = now.Add(time.Duration(rng.Intn(90)-20) * time.Second)
+			case 9:
+				rows := fast.ledgerRows()
+				fast = newLeaseQueueFromRows(list, rows, time.Minute, 2, fast.nextLease, clock)
+				full = newLeaseQueueFromRows(list, full.ledgerRows(), time.Minute, 2, full.nextLease, clock)
+			}
+			full.expiryFloor = time.Unix(1, 0)
+			r1, f1 := fast.sweep()
+			r2, f2 := full.sweep()
+			if !reflect.DeepEqual(ids(r1), ids(r2)) || !reflect.DeepEqual(ids(f1), ids(f2)) {
+				t.Fatalf("seed %d step %d: floored sweep requeued %v failed %v, full scan requeued %v failed %v",
+					seed, step, ids(r1), ids(f1), ids(r2), ids(f2))
+			}
+			if a, b := fmt.Sprint(fast.ledgerRows(), fast.pending), fmt.Sprint(full.ledgerRows(), full.pending); a != b {
+				t.Fatalf("seed %d step %d: ledgers diverged:\nfloored %s\nfull    %s", seed, step, a, b)
+			}
+		}
+	}
+}
+
+// TestLeaseQueueSweepSkipsWhileFloorAhead pins the point of the floor:
+// with every live lease far from expiry, a sweep returns without
+// visiting the ledger, however many jobs it holds.
+func TestLeaseQueueSweepSkipsWhileFloorAhead(t *testing.T) {
+	q, now := newTestQueue(1)
+	q.lease("w1", 2)
+	floor := q.expiryFloor
+	if floor.IsZero() {
+		t.Fatal("granting leases left no expiry floor")
+	}
+	// Corrupt a row the scan would notice: if the sweep visited it, the
+	// overdue lease would requeue.
+	q.entries[1].expires = now.Add(-time.Hour)
+	if r, f := q.sweep(); len(r)+len(f) != 0 {
+		t.Fatalf("sweep scanned the ledger while the clock (%v) was before the floor (%v)", *now, floor)
+	}
+	*now = floor
+	if r, _ := q.sweep(); len(r) != 2 {
+		t.Fatalf("sweep at the floor requeued %d leases, want 2", len(r))
+	}
+	if !q.expiryFloor.IsZero() {
+		t.Fatalf("no lease is live, yet the floor is %v", q.expiryFloor)
 	}
 }

@@ -3,9 +3,8 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"os"
-	"sort"
 	"sync"
+	"time"
 
 	"perple/internal/axiom"
 	"perple/internal/litmus"
@@ -29,10 +28,11 @@ type Options struct {
 	CheckpointFS CheckpointFS
 
 	// WALPath, when non-empty, enables the durable dispatch plane
-	// (dispatch mode only): every lease-ledger transition is appended to
-	// a write-ahead log there, and a restarted dispatcher replays
-	// snapshot + log to reconstruct the exact ledger. Requires
-	// CheckpointPath, since the log compacts into the checkpoint.
+	// (dispatch mode only; Campaign.Run rejects it): every lease-ledger
+	// transition is appended to a write-ahead log there, and a restarted
+	// dispatcher replays snapshot + log to reconstruct the exact ledger.
+	// Requires CheckpointPath, since the log compacts into the
+	// checkpoint.
 	WALPath string
 
 	// WALSyncEvery batches WAL fsyncs to every n appended records
@@ -47,13 +47,14 @@ type Options struct {
 	// Metrics receives the run's counters; nil allocates a private set.
 	Metrics *Metrics
 
-	// OnJobDone, when set, observes every merged job result from the
-	// collector goroutine (after checkpointing).
+	// OnJobDone, when set, observes every merged job result. Calls are
+	// serialized (they run under the dispatcher's lock), so the callback
+	// may mutate unsynchronized state.
 	OnJobDone func(*JobResult)
 
 	// OnJobFailed, when set, observes every job whose retry budget ran
 	// out — the dead-letter stream the server surfaces on the status
-	// endpoint.
+	// endpoint. Serialized like OnJobDone.
 	OnJobFailed func(JobFailure)
 
 	// runJob overrides job execution; tests inject failures and panics
@@ -173,155 +174,76 @@ func (c *Campaign) AxiomInfo() map[string]TestAxiom {
 	return out
 }
 
-// outcome is what a worker hands the collector: exactly one field set.
-type outcome struct {
-	jr   *JobResult
-	fail *JobFailure
-}
+// localLeaseTTL is the lease duration a local run's in-process
+// executors hold. An executor cannot be lost without the ledger that
+// granted its lease — both live and die with this process — so a local
+// lease never needs to expire.
+const localLeaseTTL = 100 * 365 * 24 * time.Hour
 
-// Run executes the campaign: jobs not already restored from the
-// checkpoint are fanned out over Spec.Workers goroutines, each job
-// retried up to Spec.MaxRetries times with panic recovery, and results
-// merge into campaign totals as they land. Cancelling ctx aborts
-// in-flight jobs promptly (their partial work is discarded — only whole
-// jobs ever reach the totals or the checkpoint, which is what keeps
-// resumption total-preserving). Run returns the totals accumulated so
-// far together with ctx's error when cancelled.
+// Run executes the campaign in-process: a Dispatcher owns the job
+// ledger, restore, retry budget, merge and checkpoint cadence exactly
+// as for a fleet, and Spec.Workers goroutines act as its executors,
+// each leasing one job at a time, running it with panic recovery, and
+// reporting a result or a failure. Cancelling ctx aborts in-flight jobs
+// promptly (their partial work is discarded — only whole jobs ever
+// reach the totals or the checkpoint, which is what keeps resumption
+// total-preserving). Run returns the totals accumulated so far together
+// with ctx's error when cancelled.
 func (c *Campaign) Run(ctx context.Context, opts Options) (*Results, error) {
-	metrics := opts.Metrics
-	if metrics == nil {
-		metrics = &Metrics{}
+	if opts.WALPath != "" {
+		return nil, fmt.Errorf("campaign: WALPath applies to dispatch mode only (a local run's ledger dies with its process)")
 	}
-	metrics.Start()
 	if opts.runJob == nil {
 		opts.runJob = runJob
 	}
-	if opts.CheckpointFS == nil {
-		opts.CheckpointFS = osCheckpointFS{}
-	}
-	every := opts.CheckpointEvery
-	if every <= 0 {
-		every = 1
-	}
-
-	done := map[int]*JobResult{}
-	if opts.CheckpointPath != "" {
-		restored, recovered, err := LoadCheckpointFS(opts.CheckpointFS, opts.CheckpointPath, c.Spec)
-		switch {
-		case err == nil:
-			done = restored
-			if recovered {
-				metrics.CheckpointRecoveries.Add(1)
-			}
-		case os.IsNotExist(err):
-			// Fresh campaign: nothing to restore.
-		default:
-			return nil, err
-		}
-	}
-	if err := c.validateRestored(done); err != nil {
+	d, err := NewDispatcher(c, localLeaseTTL, opts)
+	if err != nil {
 		return nil, err
 	}
-
-	results := NewResults()
-	restoredIDs := make([]int, 0, len(done))
-	for id := range done {
-		restoredIDs = append(restoredIDs, id)
-	}
-	sort.Ints(restoredIDs)
-	for _, id := range restoredIDs {
-		results.Add(done[id])
-	}
-
-	var pending []Job
-	for _, job := range c.jobs {
-		if _, ok := done[job.ID]; !ok {
-			pending = append(pending, job)
-		}
-	}
-	metrics.JobsTotal.Store(int64(len(c.jobs)))
-	metrics.JobsRestored.Store(int64(len(done)))
-	metrics.QueueDepth.Store(int64(len(pending)))
-	if len(pending) == 0 {
-		return results, ctx.Err()
-	}
-
-	jobCh := make(chan Job)
-	outCh := make(chan outcome, c.Spec.Workers)
-
-	go func() {
-		defer close(jobCh)
-		for _, job := range pending {
-			select {
-			case jobCh <- job:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
 	var wg sync.WaitGroup
 	for w := 0; w < c.Spec.Workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(worker string) {
 			defer wg.Done()
-			for job := range jobCh {
-				metrics.QueueDepth.Add(-1)
-				if ctx.Err() != nil {
-					continue // drain without running
-				}
-				metrics.InFlight.Add(1)
-				jr, fail := c.attemptJob(ctx, job, opts, metrics)
-				metrics.InFlight.Add(-1)
-				if jr == nil && fail == nil {
-					continue // aborted mid-run by cancellation
-				}
-				outCh <- outcome{jr: jr, fail: fail}
-			}
-		}()
+			c.execute(ctx, d, worker, opts.runJob)
+		}(fmt.Sprintf("local-%d", w))
 	}
-	go func() {
-		wg.Wait()
-		close(outCh)
-	}()
+	wg.Wait()
+	if ctx.Err() != nil {
+		d.Cancel()
+	}
+	res, err, _ := d.Outcome()
+	if err != nil {
+		return res, err
+	}
+	return res, ctx.Err()
+}
 
-	// Collector: the only goroutine touching results, done, and the
-	// checkpoint file. Snapshot write failures are transient until the
-	// end of the run: the batch stays pending and the next flush retries,
-	// because the previous snapshot on disk is still a valid (if stale)
-	// resume point — a disk hiccup should cost recent progress, not
-	// disable checkpointing for good.
-	sinceSave := 0
-	for o := range outCh {
-		if o.fail != nil {
-			results.AddFailure(*o.fail)
-			if opts.OnJobFailed != nil {
-				opts.OnJobFailed(*o.fail)
-			}
-			continue
+// execute is one in-process executor: lease a job, run it, report the
+// outcome, until a lease comes back without a grant (everything left is
+// done or held by another executor) or ctx is cancelled. A job aborted
+// by cancellation is reported as neither a result nor a failure; its
+// lease dies with the cancelled run.
+func (c *Campaign) execute(ctx context.Context, d *Dispatcher, worker string,
+	run func(context.Context, Job, *litmus.Test, Spec) (*JobResult, error)) {
+	for ctx.Err() == nil {
+		lease := d.Lease(LeaseRequest{Worker: worker, Max: 1})
+		if len(lease.Grants) == 0 {
+			return
 		}
-		results.Add(o.jr)
-		done[o.jr.JobID] = o.jr
-		metrics.JobsCompleted.Add(1)
-		sinceSave++
-		if opts.CheckpointPath != "" && sinceSave >= every {
-			if err := SaveCheckpointFS(opts.CheckpointFS, opts.CheckpointPath, c.Spec, done); err != nil {
-				metrics.CheckpointErrors.Add(1)
-			} else {
-				sinceSave = 0
-			}
+		g := lease.Grants[0]
+		jr, err := runRecovered(ctx, g.Job, c.tests[g.Job.Test], c.Spec, run)
+		req := CompleteRequest{Worker: worker}
+		switch {
+		case err == nil:
+			req.Results = []WorkerResult{{LeaseID: g.LeaseID, Result: jr}}
+		case ctx.Err() != nil:
+			return
+		default:
+			req.Failures = []WorkerFailure{{LeaseID: g.LeaseID, JobID: g.Job.ID, Err: err.Error()}}
 		}
-		if opts.OnJobDone != nil {
-			opts.OnJobDone(o.jr)
-		}
+		d.Complete(req)
 	}
-
-	if opts.CheckpointPath != "" && sinceSave > 0 {
-		if err := saveCheckpointRetry(opts.CheckpointFS, opts.CheckpointPath, c.Spec, done, metrics); err != nil {
-			return results, err
-		}
-	}
-	return results, ctx.Err()
 }
 
 // finalSaveRetries bounds how many times the closing snapshot write is
@@ -330,14 +252,9 @@ const finalSaveRetries = 3
 
 // saveCheckpointRetry makes the closing snapshot write resilient to
 // transient disk faults: up to finalSaveRetries attempts, counting each
-// failure, returning the last error only if none succeeded.
-func saveCheckpointRetry(fsys CheckpointFS, path string, spec Spec, done map[int]*JobResult, metrics *Metrics) error {
-	return saveCheckpointLedgerRetry(fsys, path, spec, done, nil, metrics)
-}
-
-// saveCheckpointLedgerRetry is saveCheckpointRetry carrying a lease
-// ledger (the dispatcher's closing save in WAL mode).
-func saveCheckpointLedgerRetry(fsys CheckpointFS, path string, spec Spec, done map[int]*JobResult, ledger *LedgerSnapshot, metrics *Metrics) error {
+// failure, returning the last error only if none succeeded. ledger is
+// nil without a WAL.
+func saveCheckpointRetry(fsys CheckpointFS, path string, spec Spec, done map[int]*JobResult, ledger *LedgerSnapshot, metrics *Metrics) error {
 	var err error
 	for attempt := 0; attempt < finalSaveRetries; attempt++ {
 		if err = SaveCheckpointLedgerFS(fsys, path, spec, done, ledger); err == nil {
@@ -346,45 +263,6 @@ func saveCheckpointLedgerRetry(fsys CheckpointFS, path string, spec Spec, done m
 		metrics.CheckpointErrors.Add(1)
 	}
 	return err
-}
-
-// attemptJob runs one job with panic recovery and the spec's retry
-// budget. It returns (nil, nil) when the run was aborted by
-// cancellation — an abort is neither a result nor a failure.
-func (c *Campaign) attemptJob(ctx context.Context, job Job, opts Options, metrics *Metrics) (*JobResult, *JobFailure) {
-	test := c.tests[job.Test]
-	var lastErr error
-	for attempt := 0; attempt <= c.Spec.MaxRetries; attempt++ {
-		if ctx.Err() != nil {
-			return nil, nil
-		}
-		jr, err := runRecovered(ctx, job, test, c.Spec, opts.runJob)
-		if err == nil {
-			jr.Retries = attempt
-			metrics.Iterations.Add(int64(job.N))
-			metrics.TracesVerified.Add(jr.TracesVerified)
-			metrics.TraceViolations.Add(jr.TraceViolations)
-			metrics.TraceVerifyNs.Add(jr.TraceVerifyNs)
-			return jr, nil
-		}
-		if ctx.Err() != nil {
-			return nil, nil
-		}
-		lastErr = err
-		if attempt < c.Spec.MaxRetries {
-			metrics.Retries.Add(1)
-		}
-	}
-	metrics.JobsFailed.Add(1)
-	return nil, &JobFailure{
-		JobID:    job.ID,
-		Test:     job.Test,
-		Tool:     job.Tool,
-		Preset:   job.Preset,
-		Shard:    job.Shard,
-		Attempts: c.Spec.MaxRetries + 1,
-		Err:      lastErr.Error(),
-	}
 }
 
 // runRecovered converts a panicking job into an ordinary error so one

@@ -2,10 +2,13 @@ package campaign
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -84,13 +87,22 @@ func TestSchedulerRetriesTransientFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var failed atomic.Int64
+	// Every job fails twice before succeeding. Attempts are counted per
+	// job: a shared counter would let one job's failures land on another
+	// under a different interleaving and overrun the budget.
+	var mu sync.Mutex
+	attempts := map[int]int{}
+	var merged []*JobResult
 	metrics := &Metrics{}
 	res, err := camp.Run(context.Background(), Options{
-		Metrics: metrics,
+		Metrics:   metrics,
+		OnJobDone: func(jr *JobResult) { merged = append(merged, jr) },
 		runJob: func(_ context.Context, job Job, _ *litmus.Test, _ Spec) (*JobResult, error) {
-			// Every job fails twice before succeeding.
-			if failed.Add(1); failed.Load()%3 != 0 {
+			mu.Lock()
+			attempts[job.ID]++
+			n := attempts[job.ID]
+			mu.Unlock()
+			if n <= 2 {
 				return nil, errors.New("transient")
 			}
 			return fakeResult(job), nil
@@ -102,8 +114,17 @@ func TestSchedulerRetriesTransientFailures(t *testing.T) {
 	if len(res.Failures) != 0 {
 		t.Fatalf("failures = %v", res.Failures)
 	}
-	if metrics.Retries.Load() == 0 {
-		t.Fatal("no retries recorded")
+	jobs := len(camp.Jobs())
+	if len(merged) != jobs {
+		t.Fatalf("merged %d results, want %d", len(merged), jobs)
+	}
+	for _, jr := range merged {
+		if jr.Retries != 2 {
+			t.Fatalf("job %d recorded %d retries, want 2", jr.JobID, jr.Retries)
+		}
+	}
+	if got := metrics.Retries.Load(); got != int64(2*jobs) {
+		t.Fatalf("metrics.Retries = %d, want %d", got, 2*jobs)
 	}
 	for _, g := range res.Groups {
 		if g.N == 0 {
@@ -192,9 +213,11 @@ func TestSchedulerCancelsPromptly(t *testing.T) {
 	done := make(chan struct{})
 	var res *Results
 	var runErr error
+	metrics := &Metrics{}
 	go func() {
 		defer close(done)
 		res, runErr = camp.Run(ctx, Options{
+			Metrics: metrics,
 			runJob: func(ctx context.Context, job Job, _ *litmus.Test, _ Spec) (*JobResult, error) {
 				if started.Add(1) == 3 {
 					cancel()
@@ -223,6 +246,11 @@ func TestSchedulerCancelsPromptly(t *testing.T) {
 	// the totals.
 	if _, _, n := res.Totals(); n >= 3000 {
 		t.Fatalf("cancelled run still accumulated %d iterations", n)
+	}
+	// The aborted jobs left the gauges: nothing is queued or in flight
+	// once Run has returned.
+	if q, f := metrics.QueueDepth.Load(), metrics.InFlight.Load(); q != 0 || f != 0 {
+		t.Fatalf("after cancel: queue depth %d, in flight %d, want 0 and 0", q, f)
 	}
 }
 
@@ -288,5 +316,52 @@ func TestSchedulerChecksCheckpointJobIdentity(t *testing.T) {
 	}
 	if err := camp.validateRestored(map[int]*JobResult{9999: fakeResult(Job{ID: 9999})}); err == nil {
 		t.Fatal("out-of-range job id accepted")
+	}
+}
+
+// TestRunRejectsWALPath: a write-ahead log makes a ledger survive its
+// process, which a local run's ledger never does; Run refuses the option
+// instead of silently ignoring it.
+func TestRunRejectsWALPath(t *testing.T) {
+	camp, err := New(smallSpec(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	_, err = camp.Run(context.Background(), Options{
+		CheckpointPath: filepath.Join(dir, "cp.json"),
+		WALPath:        filepath.Join(dir, "cp.wal"),
+		runJob: func(_ context.Context, job Job, _ *litmus.Test, _ Spec) (*JobResult, error) {
+			t.Errorf("job %d ran despite the rejected option", job.ID)
+			return fakeResult(job), nil
+		},
+	})
+	if err == nil || !strings.Contains(err.Error(), "WALPath") {
+		t.Fatalf("Run with WALPath = %v, want an error naming the option", err)
+	}
+}
+
+// TestCheckpointRefusesBareV1 pins the retirement of the pre-CRC
+// snapshot format: a version-1 file (the Checkpoint fields at top level,
+// no envelope) is refused rather than trusted without a checksum.
+func TestCheckpointRefusesBareV1(t *testing.T) {
+	spec := smallSpec(t)
+	camp, err := New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(Checkpoint{Version: 1, Spec: spec, Done: []*JobResult{fakeResult(camp.Jobs()[0])}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "cp.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if done, err := LoadCheckpoint(path, spec); err == nil {
+		t.Fatalf("bare v1 snapshot accepted with %d jobs", len(done))
+	}
+	if _, err := camp.Run(context.Background(), Options{CheckpointPath: path}); err == nil {
+		t.Fatal("Run resumed from a bare v1 snapshot")
 	}
 }

@@ -221,7 +221,7 @@ func TestWALReplayPropertyRandomOps(t *testing.T) {
 						d.Complete(CompleteRequest{
 							Worker:  g.worker,
 							Results: []WorkerResult{{LeaseID: g.lease, Result: fakeResult(g.job)}},
-						}, 0)
+						})
 					}
 				case 8:
 					if len(grants) > 0 {
@@ -229,7 +229,7 @@ func TestWALReplayPropertyRandomOps(t *testing.T) {
 						d.Complete(CompleteRequest{
 							Worker:   g.worker,
 							Failures: []WorkerFailure{{LeaseID: g.lease, JobID: g.job.ID, Err: "injected"}},
-						}, 0)
+						})
 					}
 				case 9:
 					// Let leases expire; the next protocol call sweeps them.
@@ -393,7 +393,7 @@ func completeAll(t *testing.T, d *Dispatcher) {
 		d.Complete(CompleteRequest{
 			Worker:  "w",
 			Results: []WorkerResult{{LeaseID: g.LeaseID, Result: fakeResult(g.Job)}},
-		}, 0)
+		})
 	}
 }
 

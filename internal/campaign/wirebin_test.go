@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -80,9 +79,9 @@ func TestCompleteRequestBinaryInterning(t *testing.T) {
 	}
 }
 
-// FuzzCompleteRequestWire round-trips the upload payload through both
-// codecs and demands canonical-JSON equality, so the dispatcher merges
-// the same values whichever codec carried them.
+// FuzzCompleteRequestWire round-trips the upload payload through the
+// PWB1 codec and demands equality with encoding/json's rendering of the
+// input, so the dispatcher merges exactly the values the worker sent.
 func FuzzCompleteRequestWire(f *testing.F) {
 	f.Add("w1", int64(7), int64(3), "sb", "0;1;", int64(42), "boom")
 	f.Add("", int64(0), int64(0), "", "", int64(0), "")
@@ -117,18 +116,6 @@ func FuzzCompleteRequestWire(f *testing.F) {
 		if got, _ := json.Marshal(&fromBin); !bytes.Equal(got, want) {
 			t.Fatalf("binary round trip:\n got %s\nwant %s", got, want)
 		}
-
-		gz, err := harness.EncodeWire(in)
-		if err != nil {
-			t.Fatalf("gzip encode: %v", err)
-		}
-		var fromGz CompleteRequest
-		if err := harness.DecodeWire(bytes.NewReader(gz), &fromGz); err != nil {
-			t.Fatalf("gzip decode: %v", err)
-		}
-		if got, _ := json.Marshal(&fromGz); !bytes.Equal(got, want) {
-			t.Fatalf("gzip round trip:\n got %s\nwant %s", got, want)
-		}
 	})
 }
 
@@ -143,29 +130,16 @@ func FuzzCompleteRequestBinaryDecode(f *testing.F) {
 	})
 }
 
-// TestFleetWireMatrix is the tentpole's byte-identity contract swept
-// across the new data-path knobs: every codec choice (negotiated,
-// forced gzip-JSON, forced binary — including a fleet mixing codecs
-// per worker) and lease batch size must merge to exactly the serial
-// run's canonical bytes, whatever the arrival order the fleet's
-// scheduling produced.
+// TestFleetWireMatrix sweeps the lease batch size: every batch size
+// must merge to exactly the serial run's canonical bytes, whatever the
+// arrival order the fleet's scheduling produced.
 func TestFleetWireMatrix(t *testing.T) {
 	spec := fleetSpec(t)
 	want := serialCanonical(t, spec)
 
-	cases := []struct {
-		name  string
-		wires []string // per-worker Wire option, round-robin
-		batch int
-	}{
-		{"auto-batch1", []string{"auto"}, 1},
-		{"auto-batch8", []string{"auto"}, 8},
-		{"json-batch4", []string{WireJSON}, 4},
-		{"binary-batch4", []string{WireBinary}, 4},
-		{"mixed-codecs", []string{WireBinary, WireJSON, "auto"}, 2},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
+	for _, batch := range []int{1, 4, 8} {
+		name := fmt.Sprintf("batch%d", batch)
+		t.Run(name, func(t *testing.T) {
 			_, ts := newTestServer(t)
 			id := submitDispatch(t, ts, spec)
 
@@ -178,8 +152,7 @@ func TestFleetWireMatrix(t *testing.T) {
 					Campaign:   id,
 					Name:       fmt.Sprintf("w%d", i),
 					Parallel:   2,
-					LeaseBatch: tc.batch,
-					Wire:       tc.wires[i%len(tc.wires)],
+					LeaseBatch: batch,
 				})
 				wg.Add(1)
 				go func(i int, w *Worker) {
@@ -197,99 +170,10 @@ func TestFleetWireMatrix(t *testing.T) {
 				t.Fatalf("fleet campaign ended %q", state)
 			}
 			if got := fetchCanonical(t, ts, id); !bytes.Equal(got, want) {
-				t.Fatalf("%s diverged from serial run:\nserial:\n%s\nfleet:\n%s", tc.name, want, got)
+				t.Fatalf("%s diverged from serial run:\nserial:\n%s\nfleet:\n%s", name, want, got)
 			}
 		})
 	}
-}
-
-// prebinaryProxy forwards to a real dispatch server but strips the
-// corpus codec advertisement — exactly what a pre-binary server's
-// responses look like — so an auto-mode worker must fall back to
-// gzip-JSON uploads and dedicated heartbeats.
-func prebinaryProxy(t *testing.T, backend string) *httptest.Server {
-	t.Helper()
-	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		url := backend + r.URL.Path
-		req, err := http.NewRequest(r.Method, url, r.Body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		req.Header = r.Header.Clone()
-		resp, err := http.DefaultTransport.RoundTrip(req)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		if strings.HasSuffix(r.URL.Path, "/corpus") && resp.StatusCode == http.StatusOK {
-			var corpus map[string]json.RawMessage
-			if err := json.Unmarshal(body, &corpus); err != nil {
-				http.Error(w, err.Error(), http.StatusBadGateway)
-				return
-			}
-			delete(corpus, "wire")
-			if body, err = json.Marshal(corpus); err != nil {
-				http.Error(w, err.Error(), http.StatusBadGateway)
-				return
-			}
-		}
-		w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
-		w.WriteHeader(resp.StatusCode)
-		w.Write(body)
-	}))
-}
-
-// TestFleetMixedVersionCompat covers both interop directions: a worker
-// pinned to the old codec against a binary-preferring dispatcher, and a
-// binary-capable worker against a server that never advertises codecs.
-// Both fleets must merge byte-identically to the serial run.
-func TestFleetMixedVersionCompat(t *testing.T) {
-	spec := fleetSpec(t)
-	want := serialCanonical(t, spec)
-
-	t.Run("old-worker-new-server", func(t *testing.T) {
-		// Forcing WireJSON reproduces a pre-binary worker's uploads
-		// byte-for-byte: gzip-JSON body, json+gzip Content-Type.
-		_, ts := newTestServer(t)
-		id := submitDispatch(t, ts, spec)
-		w := NewWorker(WorkerOptions{BaseURL: ts.URL, Campaign: id, Name: "old", Parallel: 2, Wire: WireJSON})
-		if err := w.Run(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		if state := pollState(t, ts, id, 30*time.Second); state != StateDone {
-			t.Fatalf("campaign ended %q", state)
-		}
-		if got := fetchCanonical(t, ts, id); !bytes.Equal(got, want) {
-			t.Fatalf("old-worker fleet diverged:\nserial:\n%s\nfleet:\n%s", want, got)
-		}
-	})
-
-	t.Run("new-worker-old-server", func(t *testing.T) {
-		_, ts := newTestServer(t)
-		proxy := prebinaryProxy(t, ts.URL)
-		defer proxy.Close()
-		id := submitDispatch(t, ts, spec)
-		w := NewWorker(WorkerOptions{BaseURL: proxy.URL, Campaign: id, Name: "new", Parallel: 2})
-		if err := w.Run(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		if w.useBinary || w.piggyback {
-			t.Fatalf("worker negotiated binary=%v piggyback=%v against a non-advertising server", w.useBinary, w.piggyback)
-		}
-		if state := pollState(t, ts, id, 30*time.Second); state != StateDone {
-			t.Fatalf("campaign ended %q", state)
-		}
-		if got := fetchCanonical(t, ts, id); !bytes.Equal(got, want) {
-			t.Fatalf("old-server fleet diverged:\nserial:\n%s\nfleet:\n%s", want, got)
-		}
-	})
 }
 
 // TestFleetWireMetrics checks the operator surface the new data path
@@ -369,5 +253,52 @@ func TestCompleteRejectsDamagedBinary(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("damaged binary upload = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestCompleteRefusesOtherPeers checks that the upload endpoint speaks
+// only the current protocol: a non-PWB1 body and a PWB1 frame from a
+// peer of another protocol version are both refused, before anything
+// merges.
+func TestCompleteRefusesOtherPeers(t *testing.T) {
+	spec := fleetSpec(t)
+	_, ts := newTestServer(t)
+	id := submitDispatch(t, ts, spec)
+	post := func(contentType string, body []byte) int {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/campaigns/"+id+"/complete", bytes.NewReader(body))
+		req.Header.Set("Content-Type", contentType)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	plain, err := json.Marshal(sampleCompleteRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := post("application/json", plain); code != http.StatusUnsupportedMediaType {
+		t.Fatalf("JSON upload = %d, want 415", code)
+	}
+	old := sampleCompleteRequest()
+	old.Version = ProtocolVersion - 1
+	if code := post(harness.WireContentTypeBinary, harness.EncodeWireBinary(nil, old)); code != http.StatusBadRequest {
+		t.Fatalf("v%d upload = %d, want 400", old.Version, code)
+	}
+	var status struct {
+		Metrics Snapshot `json:"metrics"`
+	}
+	resp, err := http.Get(ts.URL + "/campaigns/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
+		t.Fatal(err)
+	}
+	if m := status.Metrics; m.JobsCompleted != 0 || m.WireBytesRecv != 0 {
+		t.Fatalf("refused uploads left a trace: completed=%d recv=%d", m.JobsCompleted, m.WireBytesRecv)
 	}
 }
