@@ -111,7 +111,7 @@ func benchRun(b *testing.B, name string, n int) (*PerpetualTest, *Counter, *BufS
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := RunPerpLE(pt, counter, n, PerpLEOptions{Heuristic: true, KeepBufs: true}, DefaultConfig())
+	res, err := RunPerpLE(context.Background(), pt, counter, n, DefaultConfig(), PerpLEOptions{Heuristic: true, KeepBufs: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func BenchmarkSimPerpetual(b *testing.B) {
 	const n = 10000
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunPerpLE(pt, counter, n, PerpLEOptions{Heuristic: true}, DefaultConfig()); err != nil {
+		if _, err := RunPerpLE(context.Background(), pt, counter, n, DefaultConfig(), PerpLEOptions{Heuristic: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -267,7 +267,7 @@ func BenchmarkSimLitmus7(b *testing.B) {
 	for _, mode := range []Mode{ModeUser, ModeTimebase, ModeNone} {
 		b.Run(mode.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := RunLitmus7(test, 5000, mode, nil, DefaultConfig()); err != nil {
+				if _, err := RunLitmus7(context.Background(), test, 5000, mode, DefaultConfig(), Litmus7Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -293,12 +293,12 @@ func BenchmarkSimLitmus7Reused(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := lr.Run(5000, ModeUser, DefaultConfig()); err != nil {
+	if _, err := lr.RunCtx(context.Background(), 5000, ModeUser, DefaultConfig()); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lr.Run(5000, ModeUser, DefaultConfig()); err != nil {
+		if _, err := lr.RunCtx(context.Background(), 5000, ModeUser, DefaultConfig()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -336,12 +336,12 @@ func BenchmarkTraceVerify(b *testing.B) {
 			if err := lr.SetTraceVerify(bc.tv); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := lr.Run(n, ModeUser, DefaultConfig()); err != nil {
+			if _, err := lr.RunCtx(context.Background(), n, ModeUser, DefaultConfig()); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := lr.Run(n, ModeUser, DefaultConfig()); err != nil {
+				if _, err := lr.RunCtx(context.Background(), n, ModeUser, DefaultConfig()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -364,7 +364,7 @@ func BenchmarkSimLitmus7Batch(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := RunLitmus7Batch(test, n, ModeUser, nil, DefaultConfig(), workers); err != nil {
+				if _, err := RunLitmus7(context.Background(), test, n, ModeUser, DefaultConfig(), Litmus7Options{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -413,7 +413,7 @@ exists (0:EAX=0 /\ 1:EAX=0)
 	}{{"sb", sb, cfg}, {"deep", deep, deepCfg}} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := RunLitmus7(bc.test, 5000, ModeUser, nil, bc.cfg); err != nil {
+				if _, err := RunLitmus7(context.Background(), bc.test, 5000, ModeUser, bc.cfg, Litmus7Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -446,7 +446,7 @@ func BenchmarkAblationDrainLatency(b *testing.B) {
 			cfg.DrainMax *= scale
 			var hits, iters int64
 			for i := 0; i < b.N; i++ {
-				res, err := RunPerpLE(pt, counter, 5000, PerpLEOptions{Heuristic: true}, cfg.WithSeed(int64(i)+1))
+				res, err := RunPerpLE(context.Background(), pt, counter, 5000, cfg.WithSeed(int64(i)+1), PerpLEOptions{Heuristic: true})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -479,7 +479,7 @@ func BenchmarkAblationPreemption(b *testing.B) {
 			cfg.PreemptProb *= scale
 			var spread float64
 			for i := 0; i < b.N; i++ {
-				res, err := RunPerpLE(pt, counter, 20000, PerpLEOptions{Heuristic: true, KeepBufs: true}, cfg.WithSeed(int64(i)+1))
+				res, err := RunPerpLE(context.Background(), pt, counter, 20000, cfg.WithSeed(int64(i)+1), PerpLEOptions{Heuristic: true, KeepBufs: true})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -511,7 +511,7 @@ func BenchmarkAblationBarrierCost(b *testing.B) {
 		b.Run(mode.String(), func(b *testing.B) {
 			var ticks int64
 			for i := 0; i < b.N; i++ {
-				res, err := harness.RunLitmus7(test, 2000, mode, nil, DefaultConfig())
+				res, err := harness.RunLitmus7(context.Background(), test, 2000, mode, DefaultConfig(), harness.Litmus7Options{})
 				if err != nil {
 					b.Fatal(err)
 				}

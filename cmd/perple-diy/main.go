@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -119,7 +120,8 @@ func run() error {
 
 	if *runN > 0 {
 		cfg := sim.DefaultConfig().WithSeed(*seed)
-		lres, err := harness.RunLitmus7(test, *runN, sim.ModeTimebase, nil, cfg)
+		lres, err := harness.RunLitmus7(context.Background(), test, *runN, sim.ModeTimebase,
+			cfg, harness.Litmus7Options{})
 		if err != nil {
 			return err
 		}
@@ -130,7 +132,8 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			pres, err := harness.RunPerpLE(pt, counter, *runN, harness.PerpLEOptions{Heuristic: true}, cfg)
+			pres, err := harness.RunPerpLE(context.Background(), pt, counter, *runN,
+				cfg, harness.PerpLEOptions{Heuristic: true})
 			if err != nil {
 				return err
 			}

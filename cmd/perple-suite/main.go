@@ -459,8 +459,8 @@ func runOne(test *litmus.Test, tool string, mixed bool, n, exhCap int, cfg sim.C
 		if err != nil {
 			return rowResult{}, err
 		}
-		res, err := harness.RunLitmus7BatchVerify(test, n, mode, nil, cfg, 1,
-			harness.TraceVerify{Every: tvEvery})
+		res, err := harness.RunLitmus7(context.Background(), test, n, mode, cfg,
+			harness.Litmus7Options{Verify: harness.TraceVerify{Every: tvEvery}})
 		if err != nil {
 			return rowResult{}, err
 		}
@@ -477,7 +477,7 @@ func runOne(test *litmus.Test, tool string, mixed bool, n, exhCap int, cfg sim.C
 	if !convertible {
 		// PerpLE cannot run final-state targets: fall back, with a note,
 		// exactly as the paper prescribes (Section VII-G).
-		res, err := harness.RunLitmus7(test, n, sim.ModeUser, nil, cfg)
+		res, err := harness.RunLitmus7(context.Background(), test, n, sim.ModeUser, cfg, harness.Litmus7Options{})
 		if err != nil {
 			return rowResult{}, err
 		}
@@ -505,7 +505,7 @@ func runOne(test *litmus.Test, tool string, mixed bool, n, exhCap int, cfg sim.C
 	default:
 		return rowResult{}, fmt.Errorf("unknown tool %q", useTool)
 	}
-	res, err := harness.RunPerpLE(pt, counter, n, opts, cfg)
+	res, err := harness.RunPerpLE(context.Background(), pt, counter, n, cfg, opts)
 	if err != nil {
 		return rowResult{}, err
 	}

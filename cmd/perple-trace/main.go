@@ -21,6 +21,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io/fs"
@@ -50,6 +51,10 @@ func run(args []string, stdout, stderr *os.File) int {
 	workers := fl.Int("workers", 1, "batch workers per test (seeds derive per worker; results stay deterministic)")
 	reports := fl.Int("reports", harness.DefaultTraceReports, "violation reports to render per test")
 	if err := fl.Parse(args); err != nil {
+		return 2
+	}
+	if *workers < 1 {
+		fmt.Fprintf(stderr, "perple-trace: -workers must be at least 1, got %d\n", *workers)
 		return 2
 	}
 
@@ -101,7 +106,8 @@ func run(args []string, stdout, stderr *os.File) int {
 	var checked, violations int64
 	failed := false
 	for _, t := range tests {
-		res, err := harness.RunLitmus7BatchVerify(t, *n, simMode, nil, cfg, *workers, tv)
+		res, err := harness.RunLitmus7(context.Background(), t, *n, simMode,
+			cfg, harness.Litmus7Options{Workers: *workers, Verify: tv})
 		if err != nil {
 			fmt.Fprintf(stderr, "perple-trace: %s: %v\n", t.Name, err)
 			return 2

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -64,8 +65,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := perple.RunPerpLE(pt, counter, 10000,
-		perple.PerpLEOptions{Heuristic: true}, perple.DefaultConfig())
+	res, err := perple.RunPerpLE(context.Background(), pt, counter, 10000,
+		perple.DefaultConfig(), perple.PerpLEOptions{Heuristic: true})
 	if err != nil {
 		log.Fatal(err)
 	}

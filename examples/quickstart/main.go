@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -37,15 +38,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pres, err := perple.RunPerpLE(pt, counter, iterations,
-		perple.PerpLEOptions{Heuristic: true}, cfg)
+	pres, err := perple.RunPerpLE(context.Background(), pt, counter, iterations,
+		cfg, perple.PerpLEOptions{Heuristic: true})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// litmus7 baseline: per-iteration polling barrier (the default user
 	// mode).
-	lres, err := perple.RunLitmus7(test, iterations, perple.ModeUser, nil, cfg)
+	lres, err := perple.RunLitmus7(context.Background(), test, iterations, perple.ModeUser,
+		cfg, perple.Litmus7Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,8 +29,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	res, err := perple.RunPerpLE(pt, counter, iterations,
-		perple.PerpLEOptions{Heuristic: true, KeepBufs: true}, perple.DefaultConfig())
+	res, err := perple.RunPerpLE(context.Background(), pt, counter, iterations,
+		perple.DefaultConfig(), perple.PerpLEOptions{Heuristic: true, KeepBufs: true})
 	if err != nil {
 		log.Fatal(err)
 	}

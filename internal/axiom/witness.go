@@ -38,8 +38,8 @@ type RFEdge struct {
 // what perple-lint shows to justify a classification.
 type Witness struct {
 	Test *litmus.Test
-	RF   []RFEdge                      // in load (thread, index) order
-	WS   map[litmus.Loc][]EventRef     // coherence order per location (init elided)
+	RF   []RFEdge                  // in load (thread, index) order
+	WS   map[litmus.Loc][]EventRef // coherence order per location (init elided)
 	Regs [][]int64
 	Mem  map[litmus.Loc]int64
 }

@@ -42,8 +42,10 @@ func runJob(ctx context.Context, job Job, test *litmus.Test, spec Spec) (*JobRes
 		if err != nil {
 			return nil, err
 		}
-		tv := harness.TraceVerify{Every: spec.TraceVerifyEvery()}
-		res, err := harness.RunLitmus7BatchVerifyCtx(ctx, test, job.N, mode, nil, cfg, spec.IntraWorkers, tv)
+		res, err := harness.RunLitmus7(ctx, test, job.N, mode, cfg, harness.Litmus7Options{
+			Workers: spec.IntraWorkers,
+			Verify:  harness.TraceVerify{Every: spec.TraceVerifyEvery()},
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -70,7 +72,10 @@ func runJob(ctx context.Context, job Job, test *litmus.Test, spec Spec) (*JobRes
 	if err != nil {
 		return nil, err
 	}
-	opts := harness.PerpLEOptions{CountWorkers: spec.IntraWorkers}
+	// The batch is already IntraWorkers-way and each worker counts its
+	// own slice, so CountWorkers stays serial: fanning out again would put
+	// IntraWorkers² goroutines on the count.
+	opts := harness.PerpLEOptions{Workers: spec.IntraWorkers}
 	switch tool {
 	case "perple-heur":
 		opts.Heuristic = true
@@ -82,7 +87,7 @@ func runJob(ctx context.Context, job Job, test *litmus.Test, spec Spec) (*JobRes
 	default:
 		return nil, fmt.Errorf("campaign: unknown tool %q", tool)
 	}
-	res, err := harness.RunPerpLEBatchCtx(ctx, pt, counter, job.N, opts, cfg, spec.IntraWorkers)
+	res, err := harness.RunPerpLE(ctx, pt, counter, job.N, cfg, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -70,10 +70,10 @@ type Spec struct {
 	// Workers sizes the worker pool; 0 selects GOMAXPROCS.
 	Workers int `json:"workers,omitempty"`
 
-	// IntraWorkers parallelizes inside each job: a litmus7 shard runs as
-	// an IntraWorkers-way batch over sim.WorkerSeed substreams, and a
-	// PerpLE shard batches its execution the same way and fans its
-	// counting phase out over IntraWorkers goroutines. Unlike Workers
+	// IntraWorkers parallelizes inside each job: a litmus7 or PerpLE
+	// shard runs as an IntraWorkers-way batch over sim.WorkerSeed
+	// substreams, and a PerpLE worker counts its own slice on the same
+	// goroutine, so a job uses IntraWorkers goroutines in all. Unlike Workers
 	// this is result-affecting (a k-way batch equals the merge of k
 	// derived-seed subshards, not the serial shard), so checkpoints
 	// record it and a resume must keep it. Default: 1.

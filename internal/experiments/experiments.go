@@ -9,6 +9,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 
@@ -160,7 +161,8 @@ type Measurement struct {
 func runCell(e litmus.SuiteEntry, tool Tool, n int, opts Options) (Measurement, error) {
 	cfg := opts.cfg()
 	if mode, ok := tool.Mode(); ok {
-		res, err := harness.RunLitmus7(e.Test, n, mode, nil, cfg)
+		res, err := harness.RunLitmus7(context.TODO(), e.Test, n, mode,
+			cfg, harness.Litmus7Options{})
 		if err != nil {
 			return Measurement{}, err
 		}
@@ -182,7 +184,7 @@ func runCell(e litmus.SuiteEntry, tool Tool, n int, opts Options) (Measurement, 
 	} else {
 		po.Heuristic = true
 	}
-	res, err := harness.RunPerpLE(pt, counter, n, po, cfg)
+	res, err := harness.RunPerpLE(context.TODO(), pt, counter, n, cfg, po)
 	if err != nil {
 		return Measurement{}, err
 	}

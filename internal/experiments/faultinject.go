@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -77,22 +78,24 @@ func FaultInjection(w io.Writer, opts Options) (*FaultInjectionResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		pr, err := harness.RunPerpLE(pt, counter, n, harness.PerpLEOptions{
+		pr, err := harness.RunPerpLE(context.TODO(), pt, counter, n, cfg, harness.PerpLEOptions{
 			Heuristic: true, Exhaustive: true,
 			ExhaustiveCap: opts.exhaustiveCap(pt.TL(), n),
-		}, cfg)
+		})
 		if err != nil {
 			return nil, err
 		}
 		row.PerpLE = pr.Heuristic.Counts[0]
 		row.PerpLEExh = pr.Exhaustive.Counts[0]
 
-		tb, err := harness.RunLitmus7(e.Test, n, sim.ModeTimebase, nil, cfg)
+		tb, err := harness.RunLitmus7(context.TODO(), e.Test, n, sim.ModeTimebase,
+			cfg, harness.Litmus7Options{})
 		if err != nil {
 			return nil, err
 		}
 		row.Timebase = tb.TargetCount
-		us, err := harness.RunLitmus7(e.Test, n, sim.ModeUser, nil, cfg)
+		us, err := harness.RunLitmus7(context.TODO(), e.Test, n, sim.ModeUser,
+			cfg, harness.Litmus7Options{})
 		if err != nil {
 			return nil, err
 		}

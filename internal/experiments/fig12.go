@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -38,8 +39,8 @@ func Fig12(w io.Writer, opts Options) (*Fig12Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	run, err := harness.RunPerpLE(pt, counter, n,
-		harness.PerpLEOptions{Heuristic: true, KeepBufs: true}, opts.cfg())
+	run, err := harness.RunPerpLE(context.TODO(), pt, counter, n,
+		opts.cfg(), harness.PerpLEOptions{Heuristic: true, KeepBufs: true})
 	if err != nil {
 		return nil, err
 	}

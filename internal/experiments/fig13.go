@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -61,7 +62,8 @@ func Fig13(w io.Writer, opts Options) (*Fig13Result, error) {
 		// litmus7 in every mode.
 		for _, tool := range Litmus7Tools {
 			mode, _ := tool.Mode()
-			lr, err := harness.RunLitmus7(test, n, mode, outcomes, opts.cfg())
+			lr, err := harness.RunLitmus7(context.TODO(), test, n, mode,
+				opts.cfg(), harness.Litmus7Options{Outcomes: outcomes})
 			if err != nil {
 				return nil, fmt.Errorf("fig13: %s/%v: %w", name, tool, err)
 			}
@@ -84,8 +86,8 @@ func Fig13(w io.Writer, opts Options) (*Fig13Result, error) {
 			return nil, err
 		}
 		anyCounter := core.NewCounter(pt, nil)
-		pr, err := harness.RunPerpLE(pt, anyCounter, n,
-			harness.PerpLEOptions{KeepBufs: true}, opts.cfg())
+		pr, err := harness.RunPerpLE(context.TODO(), pt, anyCounter, n,
+			opts.cfg(), harness.PerpLEOptions{KeepBufs: true})
 		if err != nil {
 			return nil, err
 		}

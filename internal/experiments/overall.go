@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -56,7 +57,8 @@ func Overall(w io.Writer, opts Options) (*OverallResult, error) {
 
 	// Campaign A: everything under litmus7 user mode.
 	for _, e := range suite {
-		lr, err := harness.RunLitmus7(e.Test, n, sim.ModeUser, nil, cfg)
+		lr, err := harness.RunLitmus7(context.TODO(), e.Test, n, sim.ModeUser,
+			cfg, harness.Litmus7Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -64,7 +66,8 @@ func Overall(w io.Writer, opts Options) (*OverallResult, error) {
 	}
 	var nonConvTicks int64
 	for _, t := range nonConv {
-		lr, err := harness.RunLitmus7(t, n, sim.ModeUser, nil, cfg)
+		lr, err := harness.RunLitmus7(context.TODO(), t, n, sim.ModeUser,
+			cfg, harness.Litmus7Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -84,14 +87,16 @@ func Overall(w io.Writer, opts Options) (*OverallResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		pr, err := harness.RunPerpLE(pt, counter, n, harness.PerpLEOptions{Heuristic: true}, cfg)
+		pr, err := harness.RunPerpLE(context.TODO(), pt, counter, n,
+			cfg, harness.PerpLEOptions{Heuristic: true})
 		if err != nil {
 			return nil, err
 		}
 		res.MixedTicks += pr.TotalTicksHeuristic()
 
 		if e.Allowed {
-			lr, err := harness.RunLitmus7(e.Test, n, sim.ModeUser, nil, cfg)
+			lr, err := harness.RunLitmus7(context.TODO(), e.Test, n, sim.ModeUser,
+				cfg, harness.Litmus7Options{})
 			if err != nil {
 				return nil, err
 			}

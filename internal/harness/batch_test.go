@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -40,7 +41,7 @@ func TestHistogramMatchesOutcomeKeyRendering(t *testing.T) {
 	test := mustSuite(t, "mp")
 	cfg := sim.DefaultConfig().WithSeed(17)
 	const n = 2000
-	res, err := RunLitmus7(test, n, sim.ModeUser, nil, cfg)
+	res, err := RunLitmus7(context.Background(), test, n, sim.ModeUser, cfg, Litmus7Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,23 +73,23 @@ func TestLitmus7RunnerReuseMatchesFreshRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := sim.DefaultConfig().WithSeed(23)
-	first, err := lr.Run(800, sim.ModeUser, cfg)
+	first, err := lr.RunCtx(context.Background(), 800, sim.ModeUser, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	firstJSON := comparableJSON(t, first)
 	// Dirty the reused state with a different run, then repeat.
-	if _, err := lr.Run(333, sim.ModeTimebase, sim.DefaultConfig().WithSeed(9)); err != nil {
+	if _, err := lr.RunCtx(context.Background(), 333, sim.ModeTimebase, sim.DefaultConfig().WithSeed(9)); err != nil {
 		t.Fatal(err)
 	}
-	again, err := lr.Run(800, sim.ModeUser, cfg)
+	again, err := lr.RunCtx(context.Background(), 800, sim.ModeUser, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := comparableJSON(t, again); got != firstJSON {
 		t.Fatalf("reused Litmus7Runner diverged:\n got %s\nwant %s", got, firstJSON)
 	}
-	fresh, err := RunLitmus7(test, 800, sim.ModeUser, []litmus.Outcome{test.Target}, cfg)
+	fresh, err := RunLitmus7(context.Background(), test, 800, sim.ModeUser, cfg, Litmus7Options{Outcomes: []litmus.Outcome{test.Target}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +109,11 @@ func TestLitmus7RunnerSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := sim.DefaultConfig().WithSeed(4)
-	if _, err := lr.Run(300, sim.ModeUser, cfg); err != nil {
+	if _, err := lr.RunCtx(context.Background(), 300, sim.ModeUser, cfg); err != nil {
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(20, func() {
-		if _, err := lr.Run(300, sim.ModeUser, cfg); err != nil {
+		if _, err := lr.RunCtx(context.Background(), 300, sim.ModeUser, cfg); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -121,46 +122,39 @@ func TestLitmus7RunnerSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-func TestLitmus7BatchOneWorkerIdenticalToSerial(t *testing.T) {
-	test := mustSuite(t, "sb")
-	cfg := sim.DefaultConfig().WithSeed(31)
-	serial, err := RunLitmus7(test, 1000, sim.ModeUser, []litmus.Outcome{test.Target}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := RunLitmus7Batch(test, 1000, sim.ModeUser, []litmus.Outcome{test.Target}, cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := comparableJSON(t, batch), comparableJSON(t, serial); got != want {
-		t.Fatalf("one-worker batch not byte-identical to serial:\n got %s\nwant %s", got, want)
-	}
-}
-
 func TestLitmus7BatchEqualsMergedDerivedSerialRuns(t *testing.T) {
 	test := mustSuite(t, "mp")
 	cfg := sim.DefaultConfig().WithSeed(13)
-	const n, workers = 901, 3
-	batch, err := RunLitmus7Batch(test, n, sim.ModeUser, []litmus.Outcome{test.Target}, cfg, workers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var merged *Litmus7Result
-	for w := 0; w < workers; w++ {
-		lo, hi := n*w/workers, n*(w+1)/workers
-		r, err := RunLitmus7(test, hi-lo, sim.ModeUser, []litmus.Outcome{test.Target},
-			cfg.WithSeed(sim.WorkerSeed(cfg.Seed, w)))
+	outcomes := []litmus.Outcome{test.Target}
+	for _, tc := range []struct{ n, workers, shards int }{
+		{n: 901, workers: 3, shards: 3},
+		// More workers than iterations: the batch clamps to one
+		// iteration per worker.
+		{n: 2, workers: 8, shards: 2},
+	} {
+		batch, err := RunLitmus7(context.Background(), test, tc.n, sim.ModeUser, cfg,
+			Litmus7Options{Outcomes: outcomes, Workers: tc.workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if merged == nil {
-			merged = r
-		} else if err := merged.Merge(r); err != nil {
-			t.Fatal(err)
+		var merged *Litmus7Result
+		for w := 0; w < tc.shards; w++ {
+			lo, hi := tc.n*w/tc.shards, tc.n*(w+1)/tc.shards
+			r, err := RunLitmus7(context.Background(), test, hi-lo, sim.ModeUser,
+				cfg.WithSeed(sim.WorkerSeed(cfg.Seed, w)), Litmus7Options{Outcomes: outcomes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if merged == nil {
+				merged = r
+			} else if err := merged.Merge(r); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if got, want := comparableJSON(t, batch), comparableJSON(t, merged); got != want {
-		t.Fatalf("batch differs from merged derived serial runs:\n got %s\nwant %s", got, want)
+		if got, want := comparableJSON(t, batch), comparableJSON(t, merged); got != want {
+			t.Fatalf("n=%d workers=%d: batch differs from %d merged derived serial runs:\n got %s\nwant %s",
+				tc.n, tc.workers, tc.shards, got, want)
+		}
 	}
 }
 
@@ -177,14 +171,16 @@ func TestPerpLEBatchEqualsMergedDerivedSerialRuns(t *testing.T) {
 	cfg := sim.DefaultConfig().WithSeed(19)
 	opts := PerpLEOptions{Heuristic: true, Exhaustive: true, ExhaustiveCap: 200}
 	const n, workers = 700, 3
-	batch, err := RunPerpLEBatch(pt, counter, n, opts, cfg, workers)
+	batched := opts
+	batched.Workers = workers
+	batch, err := RunPerpLE(context.Background(), pt, counter, n, cfg, batched)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var merged *PerpLEResult
 	for w := 0; w < workers; w++ {
 		lo, hi := n*w/workers, n*(w+1)/workers
-		r, err := RunPerpLE(pt, counter.Clone(), hi-lo, opts, cfg.WithSeed(sim.WorkerSeed(cfg.Seed, w)))
+		r, err := RunPerpLE(context.Background(), pt, counter.Clone(), hi-lo, cfg.WithSeed(sim.WorkerSeed(cfg.Seed, w)), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,12 +208,13 @@ func TestPerpLEBatchRejectsKeepBufs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := PerpLEOptions{Heuristic: true, KeepBufs: true}
-	if _, err := RunPerpLEBatch(pt, counter, 100, opts, sim.DefaultConfig(), 2); err == nil {
+	opts := PerpLEOptions{Heuristic: true, KeepBufs: true, Workers: 2}
+	if _, err := RunPerpLE(context.Background(), pt, counter, 100, sim.DefaultConfig(), opts); err == nil {
 		t.Fatal("expected KeepBufs + workers>1 to be rejected")
 	}
 	// One worker delegates to the serial path, where KeepBufs is fine.
-	res, err := RunPerpLEBatch(pt, counter, 100, opts, sim.DefaultConfig(), 1)
+	opts.Workers = 1
+	res, err := RunPerpLE(context.Background(), pt, counter, 100, sim.DefaultConfig(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,13 +235,13 @@ func TestPerpLECountWorkersInvariant(t *testing.T) {
 	}
 	cfg := sim.DefaultConfig().WithSeed(29)
 	base := PerpLEOptions{Heuristic: true, Exhaustive: true, ExhaustiveCap: 150}
-	serial, err := RunPerpLE(pt, counter.Clone(), 600, base, cfg)
+	serial, err := RunPerpLE(context.Background(), pt, counter.Clone(), 600, cfg, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	par := base
 	par.CountWorkers = 4
-	fanned, err := RunPerpLE(pt, counter.Clone(), 600, par, cfg)
+	fanned, err := RunPerpLE(context.Background(), pt, counter.Clone(), 600, cfg, par)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"perple/internal/litmus"
@@ -32,7 +33,7 @@ type Litmus7Result struct {
 	Histogram map[string]int64
 
 	// OutcomeCounts[i] counts iterations satisfying the i-th outcome of
-	// interest passed to RunLitmus7.
+	// interest (Litmus7Options.Outcomes).
 	OutcomeCounts []int64
 
 	// TargetCount counts iterations satisfying the test's target outcome.
@@ -163,31 +164,128 @@ func (co compiledOutcome) match(res *sim.SyncedResult, iter int) bool {
 	return true
 }
 
-// RunLitmus7 executes n iterations of the test under the given
-// synchronization mode and tallies the target outcome, the optional extra
-// outcomes of interest, and the full observed-outcome histogram.
-func RunLitmus7(t *litmus.Test, n int, mode sim.Mode, outcomes []litmus.Outcome, cfg sim.Config) (*Litmus7Result, error) {
-	return RunLitmus7Ctx(context.Background(), t, n, mode, outcomes, cfg)
+// Litmus7Options are RunLitmus7's optional inputs; the zero value runs
+// serially, tallies only the target, and verifies no witnesses.
+type Litmus7Options struct {
+	// Outcomes are extra outcomes of interest, tallied in order into
+	// Litmus7Result.OutcomeCounts.
+	Outcomes []litmus.Outcome
+	// Workers splits the run into a batch of that many workers (see
+	// splitRun); ≤ 1 runs on the calling goroutine.
+	Workers int
+	// Verify turns on witness-trace verification; the zero value is off.
+	Verify TraceVerify
 }
 
-// RunLitmus7Ctx is RunLitmus7 under a context: both the simulated run and
-// the tally loop poll for cancellation and abort with the context's error
-// instead of finishing the remaining iterations.
+// RunLitmus7 executes n iterations of the test under the given
+// synchronization mode and tallies the target outcome, the extra
+// outcomes of interest, and the full observed-outcome histogram. The
+// simulated run, witness verification and the tally loop all poll ctx
+// and abort with its error instead of finishing the remaining
+// iterations.
 //
-// Each call compiles the test and builds a fresh Litmus7Runner, so the
-// returned result owns its memory. Callers running the same test
-// repeatedly should compile once and reuse a Litmus7Runner, whose
-// steady-state runs allocate nothing.
-func RunLitmus7Ctx(ctx context.Context, t *litmus.Test, n int, mode sim.Mode, outcomes []litmus.Outcome, cfg sim.Config) (*Litmus7Result, error) {
+// A batched run (opts.Workers > 1) gives each worker a private
+// Litmus7Runner over one shared compiled test and merges the per-worker
+// interned histograms, tallies and verification counts in worker order,
+// so it equals the Merge of the derived-seed serial runs. Trace, when
+// enabled, is the first worker's; Wall is the batch's elapsed host time.
+// Verification reads the simulation but never perturbs it, so tallies
+// and histograms do not depend on opts.Verify.
+//
+// Each call compiles the test and builds fresh runners, so the returned
+// result owns its memory. Callers running the same test repeatedly
+// should compile once and reuse a Litmus7Runner, whose steady-state runs
+// allocate nothing.
+func RunLitmus7(ctx context.Context, t *litmus.Test, n int, mode sim.Mode, cfg sim.Config, opts Litmus7Options) (*Litmus7Result, error) {
+	start := time.Now() //perple:allow nodeterminism wall-clock telemetry; never feeds results
 	ct, err := sim.Compile(t)
 	if err != nil {
 		return nil, err
 	}
-	lr, err := NewLitmus7Runner(ct, outcomes)
+	runners, err := splitRun(n, opts.Workers, cfg, func(n int, cfg sim.Config) (*Litmus7Runner, error) {
+		lr, err := NewLitmus7Runner(ct, opts.Outcomes)
+		if err == nil {
+			err = lr.SetTraceVerify(opts.Verify)
+		}
+		if err == nil {
+			_, err = lr.RunCtx(ctx, n, mode, cfg)
+		}
+		return lr, err
+	})
 	if err != nil {
 		return nil, err
 	}
-	return lr.RunCtx(ctx, n, mode, cfg)
+	if len(runners) == 1 {
+		return &runners[0].res, nil
+	}
+
+	out := &Litmus7Result{
+		Test:          t,
+		Mode:          mode,
+		N:             n,
+		Histogram:     map[string]int64{},
+		OutcomeCounts: make([]int64, len(opts.Outcomes)),
+		Trace:         runners[0].res.Trace,
+	}
+	merged := newOutcomeHist(ct.RegCounts())
+	reportCap := opts.Verify.reports()
+	for _, lr := range runners {
+		r := &lr.res
+		out.TargetCount += r.TargetCount
+		out.Ticks += r.Ticks
+		for i, v := range r.OutcomeCounts {
+			out.OutcomeCounts[i] += v
+		}
+		out.TracesVerified += r.TracesVerified
+		out.TraceViolations += r.TraceViolations
+		out.TraceVerifyNs += r.TraceVerifyNs
+		for _, rep := range r.TraceReports {
+			if len(out.TraceReports) < reportCap {
+				out.TraceReports = append(out.TraceReports, rep)
+			}
+		}
+		merged.merge(lr.hist)
+	}
+	merged.materializeInto(out.Histogram)
+	out.Wall = time.Since(start) //perple:allow nodeterminism wall-clock telemetry; never feeds results
+	return out, nil
+}
+
+// splitRun runs an n-iteration job as a batch of k = min(workers, n)
+// independent shards: worker w runs iterations [n·w/k, n·(w+1)/k) on its
+// own goroutine with cfg reseeded to sim.WorkerSeed(cfg.Seed, w), and
+// the per-worker results come back in worker order for the caller to
+// merge. Each shard is a deterministic function of (n, k, w, cfg), so a
+// batch equals k serial runs with the derived seeds whatever the
+// scheduling: the same model as campaign sharding, one level down.
+// k ≤ 1 runs the whole job on the calling goroutine with cfg unchanged
+// and returns its one result.
+func splitRun[R any](n, workers int, cfg sim.Config, run func(n int, cfg sim.Config) (R, error)) ([]R, error) {
+	k := min(workers, n)
+	if k <= 1 {
+		r, err := run(n, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return []R{r}, nil
+	}
+	results := make([]R, k)
+	errs := make([]error, k)
+	var wg sync.WaitGroup
+	for w := range k {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[w], errs[w] = run(n*(w+1)/k-n*w/k, cfg.WithSeed(sim.WorkerSeed(cfg.Seed, w)))
+		}()
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("harness: batch worker %d: %w", w, err)
+		}
+	}
+	return results, nil
 }
 
 func appendKeyInt(b []byte, v int64) []byte {

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"testing"
 
 	"perple/internal/analysis/hotpath"
@@ -28,7 +29,7 @@ func TestHotpathAllocs(t *testing.T) {
 	cfg := sim.DefaultConfig().WithSeed(4)
 	hotpath.Verify(t, ".", map[string]func(){
 		"harness-litmus7-run": func() {
-			if _, err := lr.Run(300, sim.ModeUser, cfg); err != nil {
+			if _, err := lr.RunCtx(context.Background(), 300, sim.ModeUser, cfg); err != nil {
 				t.Fatal(err)
 			}
 		},

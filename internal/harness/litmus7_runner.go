@@ -20,9 +20,8 @@ import (
 // shared sim.CompiledTest.
 //
 // The returned Litmus7Result aliases the runner's state and is valid
-// only until the next Run call. The package-level RunLitmus7 /
-// RunLitmus7Ctx keep the old own-your-result contract by using a fresh
-// runner per call.
+// only until the next RunCtx call. RunLitmus7 returns results the
+// caller owns by building fresh runners per call.
 type Litmus7Runner struct {
 	ct       *sim.CompiledTest
 	runner   *sim.Runner
@@ -85,13 +84,8 @@ func NewLitmus7Runner(ct *sim.CompiledTest, outcomes []litmus.Outcome) (*Litmus7
 	return lr, nil
 }
 
-// Run executes n iterations under the given synchronization mode.
-func (lr *Litmus7Runner) Run(n int, mode sim.Mode, cfg sim.Config) (*Litmus7Result, error) {
-	return lr.RunCtx(context.Background(), n, mode, cfg)
-}
-
-// RunCtx is Run under a context; see RunLitmus7Ctx for cancellation
-// semantics.
+// RunCtx executes n iterations under the given synchronization mode;
+// see RunLitmus7 for cancellation semantics.
 func (lr *Litmus7Runner) RunCtx(ctx context.Context, n int, mode sim.Mode, cfg sim.Config) (*Litmus7Result, error) {
 	start := time.Now() //perple:allow nodeterminism wall-clock telemetry; never feeds results
 	if lr.checker != nil {
@@ -171,25 +165,4 @@ func (lr *Litmus7Runner) RunCtx(ctx context.Context, n int, mode sim.Mode, cfg s
 	lr.hist.materializeInto(res.Histogram)
 	res.Wall = time.Since(start) //perple:allow nodeterminism wall-clock telemetry; never feeds results
 	return res, nil
-}
-
-// RunLitmus7Batch is RunLitmus7BatchCtx without a context.
-func RunLitmus7Batch(t *litmus.Test, n int, mode sim.Mode, outcomes []litmus.Outcome, cfg sim.Config, workers int) (*Litmus7Result, error) {
-	return RunLitmus7BatchCtx(context.Background(), t, n, mode, outcomes, cfg, workers)
-}
-
-// RunLitmus7BatchCtx splits an n-iteration litmus7-style run across
-// workers: worker w runs iterations [n·w/k, n·(w+1)/k) on a private
-// Litmus7Runner seeded with sim.WorkerSeed(cfg.Seed, w), and the
-// per-worker interned histograms and tallies are merged in worker
-// order. workers ≤ 0 selects GOMAXPROCS; workers is clamped to n.
-//
-// A one-worker batch is bit-identical to RunLitmus7Ctx except for Wall
-// (which reports the batch's elapsed host time, not per-worker time
-// summed). A k-worker batch equals the Merge of k serial runs with the
-// derived seeds, so results are deterministic for fixed (test, n, mode,
-// cfg, workers) regardless of scheduling. Trace, when enabled, is the
-// first worker's.
-func RunLitmus7BatchCtx(ctx context.Context, t *litmus.Test, n int, mode sim.Mode, outcomes []litmus.Outcome, cfg sim.Config, workers int) (*Litmus7Result, error) {
-	return RunLitmus7BatchVerifyCtx(ctx, t, n, mode, outcomes, cfg, workers, TraceVerify{})
 }

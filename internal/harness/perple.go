@@ -3,15 +3,14 @@ package harness
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"perple/internal/core"
 	"perple/internal/sim"
 )
 
-// PerpLEOptions selects which outcome counters a PerpLE run applies.
+// PerpLEOptions selects which outcome counters a PerpLE run applies and
+// how the run is spread over goroutines.
 type PerpLEOptions struct {
 	// Exhaustive applies COUNT (Algorithm 1, N^TL frames).
 	Exhaustive bool
@@ -29,6 +28,10 @@ type PerpLEOptions struct {
 	// (core.CountExhaustiveParallel / core.CountHeuristicParallel),
 	// leaving the counts identical. ≤ 1 counts on the calling goroutine.
 	CountWorkers int
+	// Workers splits the run into a batch of that many workers (see
+	// splitRun), each executing and counting its own slice; ≤ 1 runs on
+	// the calling goroutine.
+	Workers int
 }
 
 // PerpLEResult is the outcome of a PerpLE run: execution plus counting,
@@ -110,15 +113,42 @@ func (r *PerpLEResult) TotalTicksHeuristic() int64 { return r.ExecTicks + r.Heur
 
 // RunPerpLE executes n synchronization-free iterations of the perpetual
 // test on the simulated machine and applies the selected outcome
-// counters.
-func RunPerpLE(pt *core.PerpetualTest, counter *core.Counter, n int, opts PerpLEOptions, cfg sim.Config) (*PerpLEResult, error) {
-	return RunPerpLECtx(context.Background(), pt, counter, n, opts, cfg)
+// counters. The perpetual execution and the counters poll ctx and abort
+// with its error instead of running to completion.
+//
+// In a batched run (opts.Workers > 1) each worker executes its slice as
+// an independent perpetual run, counts its own buffers with a private
+// Counter clone, and the per-worker results are merged in worker order
+// via PerpLEResult.Merge (wall times sum across workers, so on multicore
+// they exceed elapsed time). ExhaustiveCap applies per worker. KeepBufs
+// is rejected for a batch: concatenated buf arrays would misindex
+// iterations, the same reason Merge drops them.
+func RunPerpLE(ctx context.Context, pt *core.PerpetualTest, counter *core.Counter, n int, cfg sim.Config, opts PerpLEOptions) (*PerpLEResult, error) {
+	batched := min(opts.Workers, n) > 1
+	if opts.KeepBufs && batched {
+		return nil, fmt.Errorf("harness: KeepBufs is incompatible with batched PerpLE runs (workers=%d)", opts.Workers)
+	}
+	results, err := splitRun(n, opts.Workers, cfg, func(n int, cfg sim.Config) (*PerpLEResult, error) {
+		c := counter
+		if batched {
+			c = counter.Clone()
+		}
+		return runPerpLE(ctx, pt, c, n, cfg, opts)
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := results[0]
+	for _, r := range results[1:] {
+		if err := out.Merge(r); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
-// RunPerpLECtx is RunPerpLE under a context: the perpetual execution and
-// the exhaustive counter poll for cancellation and abort with the
-// context's error instead of running to completion.
-func RunPerpLECtx(ctx context.Context, pt *core.PerpetualTest, counter *core.Counter, n int, opts PerpLEOptions, cfg sim.Config) (*PerpLEResult, error) {
+// runPerpLE is one unbatched PerpLE run.
+func runPerpLE(ctx context.Context, pt *core.PerpetualTest, counter *core.Counter, n int, cfg sim.Config, opts PerpLEOptions) (*PerpLEResult, error) {
 	if !opts.Exhaustive && !opts.Heuristic && !opts.KeepBufs {
 		return nil, fmt.Errorf("harness: PerpLE run requests no counter and no buffers; nothing to do")
 	}
@@ -170,61 +200,6 @@ func RunPerpLECtx(ctx context.Context, pt *core.PerpetualTest, counter *core.Cou
 		res.Bufs = simRes.Bufs
 	}
 	return res, nil
-}
-
-// RunPerpLEBatch is RunPerpLEBatchCtx without a context.
-func RunPerpLEBatch(pt *core.PerpetualTest, counter *core.Counter, n int, opts PerpLEOptions, cfg sim.Config, workers int) (*PerpLEResult, error) {
-	return RunPerpLEBatchCtx(context.Background(), pt, counter, n, opts, cfg, workers)
-}
-
-// RunPerpLEBatchCtx splits an n-iteration PerpLE run across workers:
-// worker w executes iterations [n·w/k, n·(w+1)/k) as an independent
-// perpetual run seeded with sim.WorkerSeed(cfg.Seed, w), counts its own
-// buffers with a private Counter clone, and the per-worker results are
-// merged in worker order via PerpLEResult.Merge (wall times sum across
-// workers, so on multicore they exceed elapsed time). workers ≤ 0
-// selects GOMAXPROCS; workers is clamped to n.
-//
-// A one-worker batch is exactly RunPerpLECtx. KeepBufs is rejected for
-// workers > 1: concatenated buf arrays would misindex iterations, the
-// same reason Merge drops them. ExhaustiveCap applies per worker shard.
-func RunPerpLEBatchCtx(ctx context.Context, pt *core.PerpetualTest, counter *core.Counter, n int, opts PerpLEOptions, cfg sim.Config, workers int) (*PerpLEResult, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		return RunPerpLECtx(ctx, pt, counter, n, opts, cfg)
-	}
-	if opts.KeepBufs {
-		return nil, fmt.Errorf("harness: KeepBufs is incompatible with batched PerpLE runs (workers=%d)", workers)
-	}
-	results := make([]*PerpLEResult, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := n*w/workers, n*(w+1)/workers
-		wg.Add(1)
-		go func(w, n int) {
-			defer wg.Done()
-			results[w], errs[w] = RunPerpLECtx(ctx, pt, counter.Clone(), n, opts, cfg.WithSeed(sim.WorkerSeed(cfg.Seed, w)))
-		}(w, hi-lo)
-	}
-	wg.Wait()
-	for w, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("harness: batch worker %d: %w", w, err)
-		}
-	}
-	out := results[0]
-	for _, r := range results[1:] {
-		if err := out.Merge(r); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // truncateBufs views the first n iterations of a run.

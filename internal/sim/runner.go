@@ -253,3 +253,11 @@ func RunPerpetualCtx(ctx context.Context, pt *core.PerpetualTest, n int, cfg Con
 	}
 	return NewPerpetualRunner(cp).RunCtx(ctx, n, cfg)
 }
+
+// WorkerSeed derives batch worker w's deterministic RNG substream seed
+// from a run seed: seed ⊕ w. Worker 0 keeps the caller's seed; distinct
+// workers get distinct deterministic streams. XOR only perturbs the low
+// bits for small worker ids, but math/rand's seeding scramble
+// decorrelates neighbouring seeds, and the campaign layer's shard seeds
+// are already FNV-spread, so substreams never collide within a run.
+func WorkerSeed(seed int64, worker int) int64 { return seed ^ int64(worker) }

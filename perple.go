@@ -21,8 +21,8 @@
 //	test, _ := perple.SuiteTest("sb")
 //	pt, _ := perple.Convert(test)
 //	counter, _ := perple.NewTargetCounter(pt)
-//	res, _ := perple.RunPerpLE(pt, counter, 10000,
-//	    perple.PerpLEOptions{Heuristic: true}, perple.DefaultConfig())
+//	res, _ := perple.RunPerpLE(context.Background(), pt, counter, 10000,
+//	    perple.DefaultConfig(), perple.PerpLEOptions{Heuristic: true})
 //	fmt.Println("target occurrences:", res.Heuristic.Counts[0])
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
@@ -30,6 +30,8 @@
 package perple
 
 import (
+	"context"
+
 	"perple/internal/axiom"
 	"perple/internal/core"
 	"perple/internal/experiments"
@@ -245,7 +247,10 @@ type (
 	Litmus7Result = harness.Litmus7Result
 	// PerpLEResult is a PerpLE run's counters and costs.
 	PerpLEResult = harness.PerpLEResult
-	// PerpLEOptions selects counters for a PerpLE run.
+	// Litmus7Options are a litmus7-style run's extra outcomes of
+	// interest and batch width.
+	Litmus7Options = harness.Litmus7Options
+	// PerpLEOptions selects counters and batch width for a PerpLE run.
 	PerpLEOptions = harness.PerpLEOptions
 	// SkewSample is one thread-skew observation.
 	SkewSample = harness.SkewSample
@@ -276,18 +281,20 @@ func Preset(name string) (Config, error) { return sim.Preset(name) }
 func Presets() map[string]Config { return sim.Presets() }
 
 // RunLitmus7 runs n synchronized iterations litmus7-style and tallies
-// outcomes.
-func RunLitmus7(t *Test, n int, mode Mode, outcomes []Outcome, cfg Config) (*Litmus7Result, error) {
-	return harness.RunLitmus7(t, n, mode, outcomes, cfg)
+// outcomes; opts.Workers > 1 splits the run across workers with
+// deterministic per-worker seeds (WorkerSeed) and merges their tallies.
+func RunLitmus7(ctx context.Context, t *Test, n int, mode Mode, cfg Config, opts Litmus7Options) (*Litmus7Result, error) {
+	return harness.RunLitmus7(ctx, t, n, mode, cfg, opts)
 }
 
 // RunPerpLE runs n synchronization-free iterations of a perpetual test
-// and applies the selected outcome counters.
-func RunPerpLE(pt *PerpetualTest, c *Counter, n int, opts PerpLEOptions, cfg Config) (*PerpLEResult, error) {
-	return harness.RunPerpLE(pt, c, n, opts, cfg)
+// and applies the selected outcome counters; opts.Workers > 1 splits the
+// run the same way as RunLitmus7.
+func RunPerpLE(ctx context.Context, pt *PerpetualTest, c *Counter, n int, cfg Config, opts PerpLEOptions) (*PerpLEResult, error) {
+	return harness.RunPerpLE(ctx, pt, c, n, cfg, opts)
 }
 
-// ----- compiled tests, reusable runners, batched runs -----
+// ----- compiled tests, reusable runners, batch seeds -----
 
 type (
 	// CompiledTest is a litmus test lowered for the simulator, shareable
@@ -310,19 +317,6 @@ func NewLitmus7Runner(ct *CompiledTest, outcomes []Outcome) (*Litmus7Runner, err
 // WorkerSeed derives batch worker w's deterministic RNG seed (seed ⊕ w);
 // worker 0 reproduces the serial run.
 func WorkerSeed(seed int64, worker int) int64 { return sim.WorkerSeed(seed, worker) }
-
-// RunLitmus7Batch splits a litmus7-style run across workers with
-// deterministic per-worker seeds and merges the per-worker tallies; a
-// one-worker batch matches RunLitmus7 exactly (modulo Wall).
-func RunLitmus7Batch(t *Test, n int, mode Mode, outcomes []Outcome, cfg Config, workers int) (*Litmus7Result, error) {
-	return harness.RunLitmus7Batch(t, n, mode, outcomes, cfg, workers)
-}
-
-// RunPerpLEBatch splits a PerpLE run across workers the same way and
-// merges the per-worker results.
-func RunPerpLEBatch(pt *PerpetualTest, c *Counter, n int, opts PerpLEOptions, cfg Config, workers int) (*PerpLEResult, error) {
-	return harness.RunPerpLEBatch(pt, c, n, opts, cfg, workers)
-}
 
 // MeasureSkew extracts thread-skew samples from a perpetual run.
 func MeasureSkew(pt *PerpetualTest, bs *BufSet) []SkewSample {

@@ -1,6 +1,7 @@
 package perple
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -83,8 +84,7 @@ func TestPublicAPIPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pres, err := RunPerpLE(pt, counter, 1500,
-		PerpLEOptions{Exhaustive: true, Heuristic: true, KeepBufs: true}, cfg)
+	pres, err := RunPerpLE(context.Background(), pt, counter, 1500, cfg, PerpLEOptions{Exhaustive: true, Heuristic: true, KeepBufs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestPublicAPIPipeline(t *testing.T) {
 		t.Errorf("multi-outcome counter failed: %v %v", got, err)
 	}
 
-	lres, err := RunLitmus7(test, 1500, ModeTimebase, test.AllOutcomes(), cfg)
+	lres, err := RunLitmus7(context.Background(), test, 1500, ModeTimebase, cfg, Litmus7Options{Outcomes: test.AllOutcomes()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestPublicAPITrace(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.TraceSize = 256
-	res, err := RunPerpLE(pt, counter, 20, PerpLEOptions{Heuristic: true}, cfg)
+	res, err := RunPerpLE(context.Background(), pt, counter, 20, cfg, PerpLEOptions{Heuristic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
