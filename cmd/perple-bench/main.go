@@ -27,6 +27,9 @@
 // from the baseline are reported and skipped. Non-benchmark lines pass
 // through untouched either way, so the tool can sit at the end of a
 // pipe without hiding failures.
+//
+// Exit status: 0 success, 1 no benchmark lines, a write error or (with
+// -check) a regression, 2 usage.
 package main
 
 import (
@@ -34,6 +37,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"runtime"
@@ -85,28 +89,38 @@ type parsed struct {
 }
 
 func main() {
-	out := flag.String("o", "BENCH_simcore.json", "output JSON path")
-	note := flag.String("note", "go test -bench snapshot; see scripts/bench.sh", "free-form provenance note")
-	check := flag.String("check", "", "baseline JSON to compare ns/op against instead of writing a summary")
-	maxRatio := flag.Float64("maxratio", 3.0, "with -check: fail when ns/op exceeds baseline by this factor")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	lines, err := parseStdin()
+// run reads `go test -bench` output from standard input, echoing it to
+// stdout.
+func run(args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("perple-bench", flag.ContinueOnError)
+	fl.SetOutput(stderr)
+	out := fl.String("o", "BENCH_simcore.json", "output JSON path")
+	note := fl.String("note", "go test -bench snapshot; see scripts/bench.sh", "free-form provenance note")
+	check := fl.String("check", "", "baseline JSON to compare ns/op against instead of writing a summary")
+	maxRatio := fl.Float64("maxratio", 3.0, "with -check: fail when ns/op exceeds baseline by this factor")
+	if err := fl.Parse(args); err != nil {
+		return 2
+	}
+
+	lines, err := parseBench(os.Stdin, stdout)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "perple-bench: reading stdin:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "perple-bench: reading stdin:", err)
+		return 1
 	}
 	if len(lines) == 0 {
-		fmt.Fprintln(os.Stderr, "perple-bench: no benchmark lines found on stdin")
-		os.Exit(1)
+		fmt.Fprintln(stderr, "perple-bench: no benchmark lines found on stdin")
+		return 1
 	}
 	benchmarks := resolveKeys(lines)
 
 	if *check != "" {
-		if !checkBaseline(*check, benchmarks, *maxRatio) {
-			os.Exit(1)
+		if !checkBaseline(stderr, *check, benchmarks, *maxRatio) {
+			return 1
 		}
-		return
+		return 0
 	}
 
 	sum := Summary{
@@ -120,24 +134,27 @@ func main() {
 	}
 	data, err := json.MarshalIndent(sum, "", "  ")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "perple-bench:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "perple-bench:", err)
+		return 1
 	}
 	data = append(data, '\n')
 	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "perple-bench:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "perple-bench:", err)
+		return 1
 	}
-	fmt.Fprintf(os.Stderr, "perple-bench: wrote %d benchmarks to %s\n", len(benchmarks), *out)
+	fmt.Fprintf(stderr, "perple-bench: wrote %d benchmarks to %s\n", len(benchmarks), *out)
+	return 0
 }
 
-func parseStdin() ([]parsed, error) {
+// parseBench parses benchmark lines from in, passing every line
+// through to echo.
+func parseBench(in io.Reader, echo io.Writer) ([]parsed, error) {
 	var lines []parsed
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
-		fmt.Println(line) // pass through so the pipe stays readable
+		fmt.Fprintln(echo, line) // pass through so the pipe stays readable
 		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
@@ -219,15 +236,15 @@ func resolveKeys(lines []parsed) map[string]Entry {
 // maxRatio. A new key is looked up exactly and then as key/cpu=N, so a
 // plain single-GOMAXPROCS smoke run still matches a committed -cpu
 // sweep's curve point. Returns false when any regression was found.
-func checkBaseline(path string, benchmarks map[string]Entry, maxRatio float64) bool {
+func checkBaseline(w io.Writer, path string, benchmarks map[string]Entry, maxRatio float64) bool {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "perple-bench:", err)
+		fmt.Fprintln(w, "perple-bench:", err)
 		return false
 	}
 	var base Summary
 	if err := json.Unmarshal(data, &base); err != nil {
-		fmt.Fprintf(os.Stderr, "perple-bench: parsing %s: %v\n", path, err)
+		fmt.Fprintf(w, "perple-bench: parsing %s: %v\n", path, err)
 		return false
 	}
 	ok, compared := true, 0
@@ -237,23 +254,23 @@ func checkBaseline(path string, benchmarks map[string]Entry, maxRatio float64) b
 			ref, found = base.Benchmarks[fmt.Sprintf("%s/cpu=%d", key, e.Gomaxprocs)]
 		}
 		if !found || ref.NsPerOp <= 0 {
-			fmt.Fprintf(os.Stderr, "perple-bench: %s: no baseline, skipped\n", key)
+			fmt.Fprintf(w, "perple-bench: %s: no baseline, skipped\n", key)
 			continue
 		}
 		compared++
 		ratio := e.NsPerOp / ref.NsPerOp
 		if ratio > maxRatio {
-			fmt.Fprintf(os.Stderr, "perple-bench: REGRESSION %s: %.0f ns/op vs baseline %.0f (%.2fx > %.2fx)\n",
+			fmt.Fprintf(w, "perple-bench: REGRESSION %s: %.0f ns/op vs baseline %.0f (%.2fx > %.2fx)\n",
 				key, e.NsPerOp, ref.NsPerOp, ratio, maxRatio)
 			ok = false
 		}
 	}
 	if compared == 0 {
-		fmt.Fprintf(os.Stderr, "perple-bench: no benchmarks matched baseline %s\n", path)
+		fmt.Fprintf(w, "perple-bench: no benchmarks matched baseline %s\n", path)
 		return false
 	}
 	if ok {
-		fmt.Fprintf(os.Stderr, "perple-bench: %d benchmarks within %.2fx of %s\n", compared, maxRatio, path)
+		fmt.Fprintf(w, "perple-bench: %d benchmarks within %.2fx of %s\n", compared, maxRatio, path)
 	}
 	return ok
 }

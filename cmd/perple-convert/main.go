@@ -12,11 +12,15 @@
 //	perple-convert -test sb -print             # dump to stdout
 //	perple-convert -test sb -outcomes all      # all outcomes, not just target
 //	perple-convert -list                       # list suite tests
+//
+// Exit status: 0 success, 1 conversion or write error, 2 usage
+// (including a test that cannot be loaded).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -25,21 +29,30 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
-		fmt.Fprintf(os.Stderr, "perple-convert: %v\n", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() error {
-	testName := flag.String("test", "", "suite test name (see -list)")
-	file := flag.String("file", "", "litmus7-style test file")
-	outDir := flag.String("o", ".", "output directory for generated files")
-	print := flag.Bool("print", false, "print generated files to stdout instead of writing them")
-	outcomes := flag.String("outcomes", "target", "outcomes of interest: target or all")
-	explain := flag.Bool("explain", false, "narrate the conversion steps (paper Figures 6 and 8) instead of emitting files")
-	list := flag.Bool("list", false, "list the built-in perpetual suite and exit")
-	flag.Parse()
+func run(args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("perple-convert", flag.ContinueOnError)
+	fl.SetOutput(stderr)
+	testName := fl.String("test", "", "suite test name (see -list)")
+	file := fl.String("file", "", "litmus7-style test file")
+	outDir := fl.String("o", ".", "output directory for generated files")
+	print := fl.Bool("print", false, "print generated files to stdout instead of writing them")
+	outcomes := fl.String("outcomes", "target", "outcomes of interest: target or all")
+	explain := fl.Bool("explain", false, "narrate the conversion steps (paper Figures 6 and 8) instead of emitting files")
+	list := fl.Bool("list", false, "list the built-in perpetual suite and exit")
+	if err := fl.Parse(args); err != nil {
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "perple-convert: "+format+"\n", a...)
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "perple-convert: %v\n", err)
+		return 1
+	}
 
 	if *list {
 		for _, e := range litmus.Suite() {
@@ -47,19 +60,30 @@ func run() error {
 			if e.Allowed {
 				group = "allowed"
 			}
-			fmt.Printf("%-14s [%d,%d]  %-9s  %s\n", e.Test.Name, e.Test.T(), e.Test.TL(), group, e.Test.Doc)
+			fmt.Fprintf(stdout, "%-14s [%d,%d]  %-9s  %s\n", e.Test.Name, e.Test.T(), e.Test.TL(), group, e.Test.Doc)
 		}
-		return nil
+		return 0
 	}
-
-	test, err := loadTest(*testName, *file)
+	if *outcomes != "target" && *outcomes != "all" {
+		return usage("unknown -outcomes %q (want target or all)", *outcomes)
+	}
+	if (*testName == "") == (*file == "") {
+		return usage("pass exactly one of -test <name> or -file <path> (or -list)")
+	}
+	var test *litmus.Test
+	var err error
+	if *testName != "" {
+		test, err = litmus.SuiteTest(*testName)
+	} else {
+		test, err = litmus.ParseFile(*file)
+	}
 	if err != nil {
-		return err
+		return usage("%v", err)
 	}
 
 	pt, err := core.Convert(test)
 	if err != nil {
-		return err
+		return fail(err)
 	}
 
 	if *explain {
@@ -69,67 +93,47 @@ func run() error {
 		}
 		for i, o := range targets {
 			if i > 0 {
-				fmt.Println()
+				fmt.Fprintln(stdout)
 			}
 			_, ex, err := core.Explain(pt, o)
 			if err != nil {
-				return err
+				return fail(err)
 			}
-			fmt.Print(ex.String())
+			fmt.Fprint(stdout, ex.String())
 		}
-		return nil
+		return 0
 	}
 
 	var pos []*core.PerpetualOutcome
-	switch *outcomes {
-	case "target":
+	if *outcomes == "all" {
+		if pos, err = core.ConvertAllOutcomes(pt); err != nil {
+			return fail(err)
+		}
+	} else {
 		po, err := core.ConvertOutcome(pt, test.Target)
 		if err != nil {
-			return err
+			return fail(err)
 		}
 		pos = []*core.PerpetualOutcome{po}
-	case "all":
-		if pos, err = core.ConvertAllOutcomes(pt); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown -outcomes %q (want target or all)", *outcomes)
 	}
 
 	files := core.GeneratedFiles(pt, pos)
 	names := core.SortedFileNames(files)
 	if *print {
 		for _, name := range names {
-			fmt.Printf("===== %s =====\n%s\n", name, files[name])
+			fmt.Fprintf(stdout, "===== %s =====\n%s\n", name, files[name])
 		}
-		return nil
+		return 0
 	}
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
-		return err
+		return fail(err)
 	}
 	for _, name := range names {
 		path := filepath.Join(*outDir, name)
 		if err := os.WriteFile(path, []byte(files[name]), 0o644); err != nil {
-			return err
+			return fail(err)
 		}
-		fmt.Println(path)
+		fmt.Fprintln(stdout, path)
 	}
-	return nil
-}
-
-func loadTest(name, file string) (*litmus.Test, error) {
-	switch {
-	case name != "" && file != "":
-		return nil, fmt.Errorf("use either -test or -file, not both")
-	case name != "":
-		return litmus.SuiteTest(name)
-	case file != "":
-		src, err := os.ReadFile(file)
-		if err != nil {
-			return nil, err
-		}
-		return litmus.Parse(string(src))
-	default:
-		return nil, fmt.Errorf("no input: pass -test <name> or -file <path> (or -list)")
-	}
+	return 0
 }

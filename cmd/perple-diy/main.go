@@ -10,6 +10,9 @@
 //	perple-diy -cycle "PodWW Rfe PodRR Fre" -run 10000
 //	perple-diy -cycle "Rfe PodRR Fre Rfe PodRR Fre" -name my-iriw -o out/
 //	perple-diy -edges                                 # list edge kinds
+//
+// Exit status: 0 success, 1 conversion, run or write error, 2 usage
+// (including a cycle that does not parse into a test).
 package main
 
 import (
@@ -17,6 +20,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -29,47 +33,46 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
-		fmt.Fprintf(os.Stderr, "perple-diy: %v\n", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() error {
-	cycle := flag.String("cycle", "", `relaxation cycle, e.g. "PodWR Fre PodWR Fre"`)
-	name := flag.String("name", "generated", "test name")
-	runN := flag.Int("run", 0, "also run the test for N iterations (PerpLE heuristic + litmus7 timebase)")
-	outDir := flag.String("o", "", "also write the Converter's artifacts to this directory")
-	seed := flag.Int64("seed", 1, "simulator seed for -run")
-	listEdges := flag.Bool("edges", false, "list the supported cycle edges and exit")
-	flag.Parse()
+func run(args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("perple-diy", flag.ContinueOnError)
+	fl.SetOutput(stderr)
+	cycle := fl.String("cycle", "", `relaxation cycle, e.g. "PodWR Fre PodWR Fre"`)
+	name := fl.String("name", "generated", "test name")
+	runN := fl.Int("run", 0, "also run the test for N iterations (PerpLE heuristic + litmus7 timebase)")
+	outDir := fl.String("o", "", "also write the Converter's artifacts to this directory")
+	seed := fl.Int64("seed", 1, "simulator seed for -run")
+	listEdges := fl.Bool("edges", false, "list the supported cycle edges and exit")
+	if err := fl.Parse(args); err != nil {
+		return 2
+	}
+	usage := func(err error) int {
+		fmt.Fprintf(stderr, "perple-diy: %v\n", err)
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "perple-diy: %v\n", err)
+		return 1
+	}
 
 	if *listEdges {
-		fmt.Println("external edges (move to a new thread, stay on one location):")
-		fmt.Println("  Rfe    cross-thread read-from")
-		fmt.Println("  Fre    cross-thread from-read")
-		fmt.Println("  Wse    cross-thread write-serialization (adds a final-state pin)")
-		fmt.Println("program-order edges (stay on the thread, change location):")
-		fmt.Println("  PodWR  store;load   — relaxed by TSO and PSO")
-		fmt.Println("  PodWW  store;store  — relaxed by PSO")
-		fmt.Println("  PodRR  load;load    — never relaxed here")
-		fmt.Println("  PodRW  load;store   — never relaxed here")
-		fmt.Println("  FencedWR/RR/RW/WW   — the same with MFENCE, never relaxed")
-		return nil
+		fmt.Fprint(stdout, edgeHelp)
+		return 0
 	}
 	if *cycle == "" {
-		return fmt.Errorf("pass -cycle (or -edges for help)")
+		return usage(errors.New("pass -cycle (or -edges for help)"))
 	}
-
 	edges, err := litmus.ParseCycle(*cycle)
 	if err != nil {
-		return err
+		return usage(err)
 	}
 	test, err := litmus.FromCycle(*name, edges...)
 	if err != nil {
-		return err
+		return usage(err)
 	}
-	fmt.Println(litmus.Format(test))
+	fmt.Fprintln(stdout, litmus.Format(test))
 
 	// A cycle beyond the exact-enumeration cutoff gets the checker's
 	// refusal as its verdict, as in perple-lint, never a partial answer.
@@ -78,11 +81,11 @@ func run() error {
 		var tle *axiom.TooLargeError
 		switch {
 		case errors.As(err, &tle):
-			fmt.Printf("target under %-3v: %v\n", m, err)
+			fmt.Fprintf(stdout, "target under %-3v: %v\n", m, err)
 		case err != nil:
-			return err
+			return fail(err)
 		default:
-			fmt.Printf("target under %-3v: %v\n", m, verdict(allowed))
+			fmt.Fprintf(stdout, "target under %-3v: %v\n", m, verdict(allowed))
 		}
 	}
 
@@ -90,31 +93,31 @@ func run() error {
 	var pt *core.PerpetualTest
 	if convertible {
 		if pt, err = core.Convert(test); err != nil {
-			return err
+			return fail(err)
 		}
-		fmt.Printf("perpetual conversion: ok (T_L = %d)\n", pt.TL())
+		fmt.Fprintf(stdout, "perpetual conversion: ok (T_L = %d)\n", pt.TL())
 	} else {
-		fmt.Println("perpetual conversion: not convertible (final-state conditions; run under litmus7)")
+		fmt.Fprintln(stdout, "perpetual conversion: not convertible (final-state conditions; run under litmus7)")
 	}
 
 	if *outDir != "" {
 		if !convertible {
-			return fmt.Errorf("-o requires a convertible test")
+			return usage(errors.New("-o requires a convertible test"))
 		}
 		po, err := core.ConvertOutcome(pt, test.Target)
 		if err != nil {
-			return err
+			return fail(err)
 		}
 		files := core.GeneratedFiles(pt, []*core.PerpetualOutcome{po})
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			return err
+			return fail(err)
 		}
 		for _, fname := range core.SortedFileNames(files) {
 			path := filepath.Join(*outDir, fname)
 			if err := os.WriteFile(path, []byte(files[fname]), 0o644); err != nil {
-				return err
+				return fail(err)
 			}
-			fmt.Println("wrote", path)
+			fmt.Fprintln(stdout, "wrote", path)
 		}
 	}
 
@@ -123,25 +126,25 @@ func run() error {
 		lres, err := harness.RunLitmus7(context.Background(), test, *runN, sim.ModeTimebase,
 			cfg, harness.Litmus7Options{})
 		if err != nil {
-			return err
+			return fail(err)
 		}
-		fmt.Printf("\n%d iterations on the simulated TSO machine:\n", *runN)
-		fmt.Printf("  litmus7 timebase: %d target occurrences in %d ticks\n", lres.TargetCount, lres.Ticks)
+		fmt.Fprintf(stdout, "\n%d iterations on the simulated TSO machine:\n", *runN)
+		fmt.Fprintf(stdout, "  litmus7 timebase: %d target occurrences in %d ticks\n", lres.TargetCount, lres.Ticks)
 		if convertible {
 			counter, err := core.NewTargetCounter(pt)
 			if err != nil {
-				return err
+				return fail(err)
 			}
 			pres, err := harness.RunPerpLE(context.Background(), pt, counter, *runN,
 				cfg, harness.PerpLEOptions{Heuristic: true})
 			if err != nil {
-				return err
+				return fail(err)
 			}
-			fmt.Printf("  PerpLE heuristic: %d target occurrences in %d ticks\n",
+			fmt.Fprintf(stdout, "  PerpLE heuristic: %d target occurrences in %d ticks\n",
 				pres.Heuristic.Counts[0], pres.TotalTicksHeuristic())
 		}
 	}
-	return nil
+	return 0
 }
 
 func verdict(allowed bool) string {
@@ -150,3 +153,15 @@ func verdict(allowed bool) string {
 	}
 	return "forbidden"
 }
+
+const edgeHelp = `external edges (move to a new thread, stay on one location):
+  Rfe    cross-thread read-from
+  Fre    cross-thread from-read
+  Wse    cross-thread write-serialization (adds a final-state pin)
+program-order edges (stay on the thread, change location):
+  PodWR  store;load   — relaxed by TSO and PSO
+  PodWW  store;store  — relaxed by PSO
+  PodRR  load;load    — never relaxed here
+  PodRW  load;store   — never relaxed here
+  FencedWR/RR/RW/WW   — the same with MFENCE, never relaxed
+`

@@ -8,6 +8,8 @@
 //
 // Each experiment prints a plain-text report to stdout; see EXPERIMENTS.md
 // for the recorded paper-vs-measured comparison.
+//
+// Exit status: 0 success, 1 an experiment failed, 2 usage.
 package main
 
 import (
@@ -24,13 +26,21 @@ import (
 var experimentOrder = []string{"table2", "fig9", "fig10", "fig11", "fig12", "fig13", "accuracy", "overall", "faultinject"}
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: all, or one of "+strings.Join(experimentOrder, ", "))
-	n := flag.Int("n", 0, "iteration count override (0 = per-experiment paper default)")
-	seed := flag.Int64("seed", 1, "simulator seed")
-	quick := flag.Bool("quick", false, "shrink sweeps for a fast smoke run")
-	cap2 := flag.Int("exhcap2", 0, "exhaustive-counter iteration cap for TL<=2 tests (0 = default, -1 = uncapped)")
-	cap3 := flag.Int("exhcap3", 0, "exhaustive-counter iteration cap for TL=3 tests (0 = default, -1 = uncapped)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("perple-experiments", flag.ContinueOnError)
+	fl.SetOutput(stderr)
+	exp := fl.String("exp", "all", "experiment to run: all, or one of "+strings.Join(experimentOrder, ", "))
+	n := fl.Int("n", 0, "iteration count override (0 = per-experiment paper default)")
+	seed := fl.Int64("seed", 1, "simulator seed")
+	quick := fl.Bool("quick", false, "shrink sweeps for a fast smoke run")
+	cap2 := fl.Int("exhcap2", 0, "exhaustive-counter iteration cap for TL<=2 tests (0 = default, -1 = uncapped)")
+	cap3 := fl.Int("exhcap3", 0, "exhaustive-counter iteration cap for TL=3 tests (0 = default, -1 = uncapped)")
+	if err := fl.Parse(args); err != nil {
+		return 2
+	}
 
 	opts := experiments.Options{
 		N: *n, Seed: *seed, Quick: *quick,
@@ -49,29 +59,28 @@ func main() {
 		"faultinject": wrap(experiments.FaultInjection),
 	}
 
-	var names []string
-	if *exp == "all" {
-		names = experimentOrder
-	} else {
+	names := experimentOrder
+	if *exp != "all" {
 		if _, ok := runners[*exp]; !ok {
-			fmt.Fprintf(os.Stderr, "perple-experiments: unknown experiment %q\n", *exp)
-			flag.Usage()
-			os.Exit(2)
+			fmt.Fprintf(stderr, "perple-experiments: unknown experiment %q\n", *exp)
+			fl.Usage()
+			return 2
 		}
 		names = []string{*exp}
 	}
 
 	for i, name := range names {
 		if i > 0 {
-			fmt.Println("\n" + strings.Repeat("=", 78) + "\n")
+			fmt.Fprintln(stdout, "\n"+strings.Repeat("=", 78)+"\n")
 		}
 		start := time.Now()
-		if err := runners[name](os.Stdout, opts); err != nil {
-			fmt.Fprintf(os.Stderr, "perple-experiments: %s: %v\n", name, err)
-			os.Exit(1)
+		if err := runners[name](stdout, opts); err != nil {
+			fmt.Fprintf(stderr, "perple-experiments: %s: %v\n", name, err)
+			return 1
 		}
-		fmt.Printf("\n[%s completed in %v]\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "\n[%s completed in %v]\n", name, time.Since(start).Round(time.Millisecond))
 	}
+	return 0
 }
 
 // wrap adapts a typed experiment driver to the common runner signature.

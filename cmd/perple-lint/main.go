@@ -30,9 +30,8 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io/fs"
+	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"perple/internal/axiom"
@@ -43,7 +42,7 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr *os.File) int {
+func run(args []string, stdout, stderr io.Writer) int {
 	fl := flag.NewFlagSet("perple-lint", flag.ContinueOnError)
 	fl.SetOutput(stderr)
 	suite := fl.Bool("suite", false, "lint the built-in perpetual suite instead of files")
@@ -59,21 +58,20 @@ func run(args []string, stdout, stderr *os.File) int {
 	l := &linter{out: stdout, lim: lim, witness: *witness}
 	switch {
 	case *suite:
-		for _, e := range litmus.Suite() {
-			l.lintTest(e.Test.Name, e.Test)
-		}
-		for _, t := range litmus.NonConvertible() {
+		for _, t := range litmus.Builtin() {
 			l.lintTest(t.Name, t)
 		}
 	case fl.NArg() == 0:
 		fmt.Fprintln(stderr, "perple-lint: no inputs; pass .litmus files or directories, or -suite")
 		return 2
 	default:
-		for _, arg := range fl.Args() {
-			if err := l.lintPath(arg); err != nil {
-				fmt.Fprintf(stderr, "perple-lint: %v\n", err)
-				return 2
-			}
+		files, err := litmus.ExpandPaths(fl.Args()...)
+		if err != nil {
+			fmt.Fprintf(stderr, "perple-lint: %v\n", err)
+			return 2
+		}
+		for _, file := range files {
+			l.lintFile(file)
 		}
 	}
 
@@ -85,7 +83,7 @@ func run(args []string, stdout, stderr *os.File) int {
 }
 
 type linter struct {
-	out     *os.File
+	out     io.Writer
 	lim     axiom.Limits
 	witness bool
 
@@ -94,37 +92,13 @@ type linter struct {
 	warnings int
 }
 
-func (l *linter) lintPath(path string) error {
-	info, err := os.Stat(path)
-	if err != nil {
-		return err
-	}
-	if !info.IsDir() {
-		l.lintFile(path)
-		return nil
-	}
-	return filepath.WalkDir(path, func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() && strings.HasSuffix(p, ".litmus") {
-			l.lintFile(p)
-		}
-		return nil
-	})
-}
-
+// lintFile lints one file; an unreadable or malformed file is a
+// finding, not a usage error. Parse errors carry "litmus: line N:"
+// positions.
 func (l *linter) lintFile(path string) {
-	src, err := os.ReadFile(path)
+	t, err := litmus.ParseFile(path)
 	if err != nil {
 		l.tests++
-		l.report("error", path, err.Error())
-		return
-	}
-	t, err := litmus.Parse(string(src))
-	if err != nil {
-		l.tests++
-		// Parse errors already carry "litmus: line N:" positions.
 		l.report("error", path, err.Error())
 		return
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,18 +11,9 @@ import (
 // runLint invokes run with captured stdout/stderr.
 func runLint(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
-	outFile, err := os.CreateTemp(t.TempDir(), "out")
-	if err != nil {
-		t.Fatal(err)
-	}
-	errFile, err := os.CreateTemp(t.TempDir(), "err")
-	if err != nil {
-		t.Fatal(err)
-	}
-	code = run(args, outFile, errFile)
-	outB, _ := os.ReadFile(outFile.Name())
-	errB, _ := os.ReadFile(errFile.Name())
-	return code, string(outB), string(errB)
+	var out, errOut bytes.Buffer
+	code = run(args, &out, &errOut)
+	return code, out.String(), errOut.String()
 }
 
 func writeLitmus(t *testing.T, dir, name, src string) string {

@@ -11,12 +11,16 @@
 //	perple-run -file my.litmus -tool litmus7-user
 //	perple-run -test sb -outcomes all                 # count the whole outcome space
 //	perple-run -test sb -skew                         # also print the skew histogram
+//
+// Exit status: 0 success, 1 run error, 2 usage (including a test that
+// cannot be loaded).
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -30,34 +34,52 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
-		fmt.Fprintf(os.Stderr, "perple-run: %v\n", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() error {
-	testName := flag.String("test", "", "suite test name")
-	file := flag.String("file", "", "litmus7-style test file")
-	tool := flag.String("tool", "perple-heur", "perple-heur, perple-exh, or litmus7-{user,userfence,pthread,timebase,none}")
-	n := flag.Int("n", 10000, "iterations")
-	seed := flag.Int64("seed", 1, "simulator seed")
-	outcomes := flag.String("outcomes", "target", "outcomes of interest: target or all")
-	skew := flag.Bool("skew", false, "print the thread-skew histogram (PerpLE tools only)")
-	exhCap := flag.Int("exhcap", 0, "iteration cap for the exhaustive counter (0 = uncapped)")
-	model := flag.String("model", "TSO", "simulated machine's memory system: TSO or PSO (fault injection)")
-	trace := flag.Int("trace", 0, "record and print the last N machine events (stores, drains, loads, fences)")
-	preset := flag.String("preset", "default", "machine preset (see internal/sim Presets)")
-	workers := flag.Int("workers", 1, "worker goroutines for the outcome counter (0 = GOMAXPROCS); counts do not depend on it")
-	flag.Parse()
+func run(args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("perple-run", flag.ContinueOnError)
+	fl.SetOutput(stderr)
+	testName := fl.String("test", "", "suite test name")
+	file := fl.String("file", "", "litmus7-style test file")
+	tool := fl.String("tool", "perple-heur", "perple-heur, perple-exh, or litmus7-{user,userfence,pthread,timebase,none}")
+	n := fl.Int("n", 10000, "iterations")
+	seed := fl.Int64("seed", 1, "simulator seed")
+	outcomes := fl.String("outcomes", "target", "outcomes of interest: target or all")
+	skew := fl.Bool("skew", false, "print the thread-skew histogram (PerpLE tools only)")
+	exhCap := fl.Int("exhcap", 0, "iteration cap for the exhaustive counter (0 = uncapped)")
+	model := fl.String("model", "TSO", "simulated machine's memory system: TSO or PSO (fault injection)")
+	trace := fl.Int("trace", 0, "record and print the last N machine events (stores, drains, loads, fences)")
+	preset := fl.String("preset", "default", "machine preset (see internal/sim Presets)")
+	workers := fl.Int("workers", 1, "worker goroutines for the outcome counter (0 = GOMAXPROCS); counts do not depend on it")
+	if err := fl.Parse(args); err != nil {
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "perple-run: "+format+"\n", a...)
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "perple-run: %v\n", err)
+		return 1
+	}
 
-	test, err := loadTest(*testName, *file)
+	if (*testName == "") == (*file == "") {
+		return usage("pass exactly one of -test <name> or -file <path>")
+	}
+	var test *litmus.Test
+	var err error
+	if *testName != "" {
+		test, err = litmus.SuiteTest(*testName)
+	} else {
+		test, err = litmus.ParseFile(*file)
+	}
 	if err != nil {
-		return err
+		return usage("%v", err)
 	}
 	cfg, err := sim.Preset(*preset)
 	if err != nil {
-		return err
+		return usage("%v", err)
 	}
 	cfg = cfg.WithSeed(*seed)
 	switch strings.ToUpper(*model) {
@@ -65,9 +87,12 @@ func run() error {
 	case "PSO":
 		cfg.Relaxation = memmodel.PSO
 	default:
-		return fmt.Errorf("unknown -model %q (want TSO or PSO)", *model)
+		return usage("unknown -model %q (want TSO or PSO)", *model)
 	}
 	cfg.TraceSize = *trace
+	if *workers < 0 {
+		return usage("-workers must be at least 0 (0 = GOMAXPROCS), got %d", *workers)
+	}
 
 	var ooi []litmus.Outcome
 	switch *outcomes {
@@ -76,45 +101,45 @@ func run() error {
 	case "all":
 		ooi = test.AllOutcomes()
 	default:
-		return fmt.Errorf("unknown -outcomes %q (want target or all)", *outcomes)
+		return usage("unknown -outcomes %q (want target or all)", *outcomes)
 	}
 
 	if strings.HasPrefix(*tool, "litmus7-") {
 		mode, err := sim.ParseMode(strings.TrimPrefix(*tool, "litmus7-"))
 		if err != nil {
-			return err
+			return usage("%v", err)
 		}
 		res, err := harness.RunLitmus7(context.Background(), test, *n, mode, cfg, harness.Litmus7Options{Outcomes: ooi})
 		if err != nil {
-			return err
+			return fail(err)
 		}
-		fmt.Printf("litmus7 %s mode, %d iterations:\n\n", mode, *n)
-		fmt.Print(harness.FormatLitmus7Report(res))
+		fmt.Fprintf(stdout, "litmus7 %s mode, %d iterations:\n\n", mode, *n)
+		fmt.Fprint(stdout, harness.FormatLitmus7Report(res))
 		if *trace > 0 {
-			fmt.Printf("\nmachine trace (last %d events):\n%s", *trace, res.Trace.String())
+			fmt.Fprintf(stdout, "\nmachine trace (last %d events):\n%s", *trace, res.Trace.String())
 		}
 		if *outcomes == "all" {
-			fmt.Println("\noutcomes of interest:")
+			fmt.Fprintln(stdout, "\noutcomes of interest:")
 			tb := stats.NewTable("outcome", "occurrences", "rate/Mtick")
 			for i, o := range ooi {
 				tb.AddRow(o.String(), res.OutcomeCounts[i], stats.Rate(res.OutcomeCounts[i], res.Ticks)*1e6)
 			}
-			fmt.Print(tb.String())
+			fmt.Fprint(stdout, tb.String())
 		}
-		return nil
+		return 0
 	}
 
 	if *tool != "perple-heur" && *tool != "perple-exh" {
-		return fmt.Errorf("unknown tool %q", *tool)
+		return usage("unknown tool %q", *tool)
 	}
 	pt, err := core.Convert(test)
 	if err != nil {
-		return err
+		return fail(err)
 	}
 	pos := make([]*core.PerpetualOutcome, len(ooi))
 	for i, o := range ooi {
 		if pos[i], err = core.ConvertOutcome(pt, o); err != nil {
-			return err
+			return fail(err)
 		}
 	}
 	counter := core.NewCounter(pt, pos)
@@ -130,7 +155,7 @@ func run() error {
 	}
 	res, err := harness.RunPerpLE(context.Background(), pt, counter, *n, cfg, opts)
 	if err != nil {
-		return err
+		return fail(err)
 	}
 
 	cr := res.Heuristic
@@ -139,13 +164,13 @@ func run() error {
 		cr = res.Exhaustive
 		total, wall = res.TotalTicksExhaustive(), res.WallExec+res.WallExh
 		if res.ExhaustiveN < *n {
-			fmt.Printf("note: exhaustive counter examined the first %d of %d iterations\n", res.ExhaustiveN, *n)
+			fmt.Fprintf(stdout, "note: exhaustive counter examined the first %d of %d iterations\n", res.ExhaustiveN, *n)
 		}
 	}
-	fmt.Printf("test %s, PerpLE (%s), %d iterations, T_L=%d\n", test.Name, *tool, *n, pt.TL())
-	fmt.Printf("simulated runtime: %d ticks (execution %d + counting %d); host %v\n",
+	fmt.Fprintf(stdout, "test %s, PerpLE (%s), %d iterations, T_L=%d\n", test.Name, *tool, *n, pt.TL())
+	fmt.Fprintf(stdout, "simulated runtime: %d ticks (execution %d + counting %d); host %v\n",
 		total, res.ExecTicks, total-res.ExecTicks, wall.Round(10e3))
-	fmt.Printf("frames examined: %d\n\n", cr.Frames)
+	fmt.Fprintf(stdout, "frames examined: %d\n\n", cr.Frames)
 	tb := stats.NewTable("perpetual outcome of interest", "occurrences", "rate/Mtick")
 	for i, po := range pos {
 		label := po.Orig.String()
@@ -154,18 +179,18 @@ func run() error {
 		}
 		tb.AddRow(label, cr.Counts[i], stats.Rate(cr.Counts[i], total)*1e6)
 	}
-	fmt.Print(tb.String())
+	fmt.Fprint(stdout, tb.String())
 
 	if *trace > 0 {
-		fmt.Printf("\nmachine trace (last %d events):\n%s", *trace, res.Trace.String())
+		fmt.Fprintf(stdout, "\nmachine trace (last %d events):\n%s", *trace, res.Trace.String())
 	}
 
 	if *skew {
 		samples := harness.MeasureSkew(pt, res.Bufs)
 		vals := harness.SkewValues(samples, -1, -1)
 		if len(vals) == 0 {
-			fmt.Println("\nno skew samples (no cross-thread reads decoded)")
-			return nil
+			fmt.Fprintln(stdout, "\nno skew samples (no cross-thread reads decoded)")
+			return 0
 		}
 		min, max := vals[0], vals[0]
 		for _, v := range vals {
@@ -182,27 +207,10 @@ func run() error {
 		}
 		h, err := stats.NewHistogram(min, max, width)
 		if err != nil {
-			return err
+			return fail(err)
 		}
 		h.AddAll(vals)
-		fmt.Printf("\nthread skew (%d samples, range [%d, %d]):\n%s", len(vals), min, max, h.Render(50))
+		fmt.Fprintf(stdout, "\nthread skew (%d samples, range [%d, %d]):\n%s", len(vals), min, max, h.Render(50))
 	}
-	return nil
-}
-
-func loadTest(name, file string) (*litmus.Test, error) {
-	switch {
-	case name != "" && file != "":
-		return nil, fmt.Errorf("use either -test or -file, not both")
-	case name != "":
-		return litmus.SuiteTest(name)
-	case file != "":
-		src, err := os.ReadFile(file)
-		if err != nil {
-			return nil, err
-		}
-		return litmus.Parse(string(src))
-	default:
-		return nil, fmt.Errorf("no input: pass -test <name> or -file <path>")
-	}
+	return 0
 }

@@ -31,6 +31,8 @@
 //	perple-serve -addr :8077 -checkpoint-dir /var/lib/perple
 //	curl -X POST localhost:8077/campaigns -d '{"dir":"testdata/suite","tools":["mixed"],"iterations":20000,"shard_size":5000}'
 //	curl -X POST 'localhost:8077/campaigns?mode=dispatch' -d @spec.json   # then point perple-worker at it
+//
+// Exit status: 0 after a graceful shutdown, 1 a serve error, 2 usage.
 package main
 
 import (
@@ -38,6 +40,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/http/pprof"
@@ -50,46 +53,55 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
-		fmt.Fprintf(os.Stderr, "perple-serve: %v\n", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() error {
-	addr := flag.String("addr", ":8077", "listen address")
-	checkpointDir := flag.String("checkpoint-dir", "", "directory for per-campaign checkpoint files (empty disables checkpointing)")
-	checkpointEvery := flag.Int("checkpoint-every", 0, "snapshot every n completed jobs (0: every job)")
-	leaseTTL := flag.Duration("lease-ttl", campaign.DefaultLeaseTTL, "dispatch lease TTL before an unheartbeated shard requeues")
-	walDir := flag.String("wal", "", "directory for per-campaign dispatch write-ahead logs (requires -checkpoint-dir; empty disables the durable dispatch plane)")
-	walSyncEvery := flag.Int("wal-sync-every", 0, "fsync the WAL every n records (group commit; 0 or 1: every record)")
-	compactEvery := flag.Int("compact-every", 0, "fold the WAL into a fresh checkpoint every n finished jobs (0: default 64)")
-	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-	flag.Parse()
-
+func run(args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("perple-serve", flag.ContinueOnError)
+	fl.SetOutput(stderr)
+	addr := fl.String("addr", ":8077", "listen address")
+	checkpointDir := fl.String("checkpoint-dir", "", "directory for per-campaign checkpoint files (empty disables checkpointing)")
+	checkpointEvery := fl.Int("checkpoint-every", 0, "snapshot every n completed jobs (0: every job)")
+	leaseTTL := fl.Duration("lease-ttl", campaign.DefaultLeaseTTL, "dispatch lease TTL before an unheartbeated shard requeues")
+	walDir := fl.String("wal", "", "directory for per-campaign dispatch write-ahead logs (requires -checkpoint-dir; empty disables the durable dispatch plane)")
+	walSyncEvery := fl.Int("wal-sync-every", 0, "fsync the WAL every n records (group commit; 0 or 1: every record)")
+	compactEvery := fl.Int("compact-every", 0, "fold the WAL into a fresh checkpoint every n finished jobs (0: default 64)")
+	pprofOn := fl.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
+	if err := fl.Parse(args); err != nil {
+		return 2
+	}
+	if *walDir != "" && *checkpointDir == "" {
+		fmt.Fprintln(stderr, "perple-serve: -wal requires -checkpoint-dir (the log compacts into the checkpoint)")
+		return 2
+	}
 	srv := campaign.NewServer()
 	srv.LeaseTTL = *leaseTTL
 	srv.CheckpointEvery = *checkpointEvery
-	if *checkpointDir != "" {
-		if err := os.MkdirAll(*checkpointDir, 0o755); err != nil {
-			return err
-		}
-		srv.CheckpointDir = *checkpointDir
+	srv.CheckpointDir = *checkpointDir
+	srv.WALDir = *walDir
+	srv.WALSyncEvery = *walSyncEvery
+	srv.CompactEvery = *compactEvery
+	if err := serve(srv, *addr, *pprofOn, log.New(stderr, "", log.LstdFlags)); err != nil {
+		fmt.Fprintf(stderr, "perple-serve: %v\n", err)
+		return 1
 	}
-	if *walDir != "" {
-		if *checkpointDir == "" {
-			return errors.New("-wal requires -checkpoint-dir (the log compacts into the checkpoint)")
+	return 0
+}
+
+// serve creates the server's directories, then serves HTTP until it
+// fails or a signal shuts it down.
+func serve(srv *campaign.Server, addr string, pprofOn bool, logger *log.Logger) error {
+	for _, dir := range []string{srv.CheckpointDir, srv.WALDir} {
+		if dir == "" {
+			continue
 		}
-		if err := os.MkdirAll(*walDir, 0o755); err != nil {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return err
 		}
-		srv.WALDir = *walDir
-		srv.WALSyncEvery = *walSyncEvery
-		srv.CompactEvery = *compactEvery
 	}
 
 	handler := srv.Handler()
-	if *pprofOn {
+	if pprofOn {
 		// The campaign mux owns "/", so pprof gets its own prefix mux in
 		// front rather than the DefaultServeMux side-registration.
 		mux := http.NewServeMux()
@@ -100,11 +112,11 @@ func run() error {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		mux.Handle("/", handler)
 		handler = mux
-		log.Printf("pprof enabled at /debug/pprof/")
+		logger.Printf("pprof enabled at /debug/pprof/")
 	}
 
 	httpSrv := &http.Server{
-		Addr:              *addr,
+		Addr:              addr,
 		Handler:           handler,
 		ReadHeaderTimeout: 10 * time.Second,
 	}
@@ -114,7 +126,7 @@ func run() error {
 
 	errCh := make(chan error, 1)
 	go func() {
-		log.Printf("perple-serve listening on %s", *addr)
+		logger.Printf("perple-serve listening on %s", addr)
 		errCh <- httpSrv.ListenAndServe()
 	}()
 
@@ -126,7 +138,7 @@ func run() error {
 
 	// Graceful shutdown: abort campaigns (their checkpoints persist),
 	// then drain HTTP connections.
-	log.Printf("perple-serve shutting down")
+	logger.Printf("perple-serve shutting down")
 	srv.CancelAll()
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

@@ -4,8 +4,12 @@
 // Section VII-G workflow as a tool: PerpLE for the convertible tests and
 // litmus7 for the rest.
 //
-// A failing test no longer aborts the sweep: failures are collected,
-// summarized after the table, and reflected in the exit status.
+// Every sweep is a campaign (internal/campaign), the same engine behind
+// perple-serve: sharded jobs with identity-derived seeds, a
+// context-aware worker pool, retries, and optional checkpoint/resume. A
+// failing job does not abort the sweep: failures are collected,
+// summarized after the table, and reflected in the exit status. The
+// output does not depend on -workers.
 //
 // Usage:
 //
@@ -15,23 +19,20 @@
 //	perple-suite -preset pso                       # fault-injection machine
 //	perple-suite -mixed                            # §VII-G campaign: PerpLE where
 //	                                               # convertible, litmus7-user elsewhere
-//
-// With -campaign the corpus is handed to the campaign scheduler
-// (internal/campaign): sharded jobs, a context-aware worker pool,
-// retries, and optional checkpoint/resume — the same engine behind
-// perple-serve.
-//
-//	perple-suite -campaign -dir testdata/suite -n 50000 -shard-size 10000 \
-//	    -checkpoint /tmp/suite.json      # Ctrl-C, rerun, and it resumes
-//	perple-suite -campaign -spec campaign.json
+//	perple-suite -dir testdata/suite -n 50000 -shard-size 10000 \
+//	    -checkpoint /tmp/suite.json                # Ctrl-C, rerun, and it resumes
+//	perple-suite -spec campaign.json
 //
 // With -remote the same spec is submitted to a running perple-serve as a
 // dispatch-mode campaign: perple-worker fleet members execute the shards
 // and this command polls until done, then renders the merged results —
-// byte-identical to what the local -campaign path would have produced,
-// by the dispatch layer's determinism contract.
+// byte-identical to what the local run would have produced, by the
+// dispatch layer's determinism contract.
 //
 //	perple-suite -remote http://localhost:8077 -n 50000 -shard-size 10000
+//
+// Exit status: 0 success, 1 failed jobs, trace violations or a run
+// error, 2 usage.
 package main
 
 import (
@@ -40,197 +41,122 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"sort"
-	"strings"
 	"syscall"
 	"time"
 
 	"perple/internal/campaign"
-	"perple/internal/core"
 	"perple/internal/harness"
-	"perple/internal/litmus"
-	"perple/internal/sim"
-	"perple/internal/stats"
 )
 
 func main() {
-	if err := run(); err != nil {
-		fmt.Fprintf(os.Stderr, "perple-suite: %v\n", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() error {
-	dir := flag.String("dir", "", "directory of .litmus files (default: the built-in Table II suite)")
-	tool := flag.String("tool", "perple-heur", "perple-heur, perple-exh, or litmus7-{user,userfence,pthread,timebase,none}")
-	mixed := flag.Bool("mixed", false, "run the Section VII-G campaign: PerpLE-heuristic for convertible tests, litmus7-user for the rest")
-	n := flag.Int("n", 10000, "iterations per test")
-	seed := flag.Int64("seed", 1, "simulator seed")
-	preset := flag.String("preset", "default", "machine preset (default, pso, slow-drain, fast-drain, no-preempt, heavy-preempt)")
-	exhCap := flag.Int("exhcap", 2000, "iteration cap for the exhaustive counter (-1 = uncapped)")
-	useCampaign := flag.Bool("campaign", false, "delegate the sweep to the campaign scheduler (sharded, parallel, resumable)")
-	specPath := flag.String("spec", "", "campaign spec JSON file (implies -campaign; overrides the other flags)")
-	checkpoint := flag.String("checkpoint", "", "campaign checkpoint file: progress is saved there and a rerun resumes")
-	shardSize := flag.Int("shard-size", 0, "campaign iterations per shard (default: one shard per test/tool/preset)")
-	workers := flag.Int("workers", 0, "campaign worker goroutines (default: GOMAXPROCS)")
-	intraWorkers := flag.Int("intra-workers", 1, "worker goroutines inside each campaign job (result-affecting; recorded in checkpoints)")
-	remote := flag.String("remote", "", "perple-serve base URL: submit the campaign as a dispatch job for perple-worker fleet members")
-	axiomPolicy := flag.String("axiom", "", "campaign axiom policy: warn (default) flags statically forbidden/unsatisfiable targets, reject drops them from the sweep, off skips the check")
-	traceVerify := flag.String("trace-verify", "", "witness-trace verification for litmus7 runs: off (default), all, or a decimal stride k — check every k-th iteration's rf/co witness against x86-TSO")
-	flag.Parse()
+func run(args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("perple-suite", flag.ContinueOnError)
+	fl.SetOutput(stderr)
+	var spec campaign.Spec
+	fl.StringVar(&spec.Dir, "dir", "", "directory of .litmus files (default: the built-in Table II suite)")
+	tool := fl.String("tool", "perple-heur", "perple-heur, perple-exh, or litmus7-{user,userfence,pthread,timebase,none}")
+	mixed := fl.Bool("mixed", false, "run the Section VII-G campaign: PerpLE-heuristic for convertible tests, litmus7-user for the rest")
+	fl.IntVar(&spec.Iterations, "n", 10000, "iterations per test")
+	fl.Int64Var(&spec.Seed, "seed", 1, "campaign seed; per-shard simulator seeds derive from it")
+	preset := fl.String("preset", "default", "machine preset (default, pso, slow-drain, fast-drain, no-preempt, heavy-preempt)")
+	fl.IntVar(&spec.ExhCap, "exhcap", 2000, "iteration cap for the exhaustive counter per shard (-1 = uncapped)")
+	specPath := fl.String("spec", "", "campaign spec JSON file (replaces the spec flags other than -axiom and -trace-verify)")
+	checkpoint := fl.String("checkpoint", "", "campaign checkpoint file: progress is saved there and a rerun resumes")
+	fl.IntVar(&spec.ShardSize, "shard-size", 0, "iterations per shard (default: one shard per test/tool/preset)")
+	fl.IntVar(&spec.Workers, "workers", 0, "worker goroutines (default: GOMAXPROCS); results do not depend on it")
+	fl.IntVar(&spec.IntraWorkers, "intra-workers", 1, "worker goroutines inside each job (result-affecting; recorded in checkpoints)")
+	remote := fl.String("remote", "", "perple-serve base URL: submit the campaign as a dispatch job for perple-worker fleet members")
+	fl.StringVar(&spec.Axiom, "axiom", "", "axiom policy: warn (default) flags statically forbidden/unsatisfiable targets, reject drops them from the sweep, off skips the check")
+	fl.StringVar(&spec.TraceVerify, "trace-verify", "", "witness-trace verification for litmus7 runs: off (default), all, or a decimal stride k — check every k-th iteration's rf/co witness against x86-TSO")
+	if err := fl.Parse(args); err != nil {
+		return 2
+	}
 
+	if *specPath != "" {
+		loaded, err := campaign.LoadSpec(*specPath)
+		if err != nil {
+			fmt.Fprintf(stderr, "perple-suite: %v\n", err)
+			return 2
+		}
+		if spec.Axiom != "" {
+			loaded.Axiom = spec.Axiom
+		}
+		if spec.TraceVerify != "" {
+			loaded.TraceVerify = spec.TraceVerify
+		}
+		spec = loaded
+	} else {
+		spec.Tools = []string{*tool}
+		if *mixed {
+			spec.Tools = []string{"mixed"}
+		}
+		spec.Presets = []string{*preset}
+	}
+	if err := spec.Validate(); err != nil {
+		fmt.Fprintf(stderr, "perple-suite: %v\n", err)
+		return 2
+	}
+
+	var err error
 	if *remote != "" {
-		spec, err := buildSpec(*specPath, *dir, *tool, *mixed, *n, *seed, *preset, *exhCap,
-			*shardSize, *workers, *intraWorkers, *axiomPolicy, *traceVerify)
-		if err != nil {
-			return err
-		}
-		return runRemote(*remote, spec)
+		err = runRemote(*remote, spec, stdout, stderr)
+	} else {
+		err = runLocal(spec, *checkpoint, stdout, stderr)
 	}
-	if *useCampaign || *specPath != "" {
-		return runCampaign(*specPath, *dir, *tool, *mixed, *n, *seed, *preset, *exhCap,
-			*checkpoint, *shardSize, *workers, *intraWorkers, *axiomPolicy, *traceVerify)
-	}
-	tvEvery, err := campaign.ParseTraceVerify(*traceVerify)
 	if err != nil {
-		return err
+		fmt.Fprintf(stderr, "perple-suite: %v\n", err)
+		return 1
 	}
-
-	cfg, err := sim.Preset(*preset)
-	if err != nil {
-		return err
-	}
-	cfg = cfg.WithSeed(*seed)
-
-	tests, err := loadCorpus(*dir)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("corpus: %d tests, tool: %s, machine: %s, %d iterations each\n\n",
-		len(tests), toolName(*tool, *mixed), *preset, *n)
-
-	tb := stats.NewTable("test", "tool", "target", "ticks", "rate/Mtick", "note")
-	var totalTicks, totalTargets int64
-	var tvTotals traceTotals
-	var failures []string
-	for _, test := range tests {
-		row, err := runOne(test, *tool, *mixed, *n, *exhCap, cfg, tvEvery, &tvTotals)
-		if err != nil {
-			// Collect and keep sweeping: one broken test must not hide
-			// the results of the other 39.
-			failures = append(failures, fmt.Sprintf("%s: %v", test.Name, err))
-			tb.AddRow(test.Name, "-", "-", "-", "-", "FAILED")
-			continue
-		}
-		totalTicks += row.ticks
-		totalTargets += row.target
-		tb.AddRow(test.Name, row.tool, row.target, row.ticks,
-			stats.Rate(row.target, row.ticks)*1e6, row.note)
-	}
-	fmt.Print(tb.String())
-	fmt.Printf("\ncampaign totals: %d target occurrences, %d simulated ticks\n", totalTargets, totalTicks)
-	if err := tvTotals.report(tvEvery); err != nil && len(failures) == 0 {
-		return err
-	}
-	if len(failures) > 0 {
-		fmt.Printf("\n%d test(s) failed:\n", len(failures))
-		for _, f := range failures {
-			fmt.Printf("  %s\n", f)
-		}
-		return fmt.Errorf("%d of %d tests failed", len(failures), len(tests))
-	}
-	return nil
+	return 0
 }
 
-// traceTotals accumulates witness-trace verification tallies across a
-// sweep, with the rendered reports capped like the harness caps them.
-type traceTotals struct {
-	verified   int64
-	violations int64
-	reports    []string
-}
-
-func (tt *traceTotals) add(res *harness.Litmus7Result) {
-	tt.verified += res.TracesVerified
-	tt.violations += res.TraceViolations
-	for _, rep := range res.TraceReports {
-		if len(tt.reports) < harness.DefaultTraceReports {
-			tt.reports = append(tt.reports, rep)
-		}
-	}
-}
-
-// report prints the verification summary and returns an error when the
-// machine violated its model — a trace violation is a conformance bug,
-// not a statistic, so it must fail the sweep's exit status.
-func (tt *traceTotals) report(every int) error {
-	if every == 0 {
-		return nil
-	}
-	fmt.Printf("trace-verify: %d witnesses checked (stride %d), %d violation(s)\n",
-		tt.verified, every, tt.violations)
-	for _, rep := range tt.reports {
-		fmt.Printf("\n%s\n", rep)
-	}
-	if tt.violations > 0 {
-		return fmt.Errorf("trace verification found %d violation(s)", tt.violations)
-	}
-	return nil
-}
-
-// runCampaign hands the sweep to the campaign scheduler. The spec comes
-// from -spec JSON when given, otherwise it is assembled from the same
-// flags the sequential path uses.
-func runCampaign(specPath, dir, tool string, mixed bool, n int, seed int64, preset string,
-	exhCap int, checkpoint string, shardSize, workers, intraWorkers int, axiomPolicy, traceVerify string) error {
-	spec, err := buildSpec(specPath, dir, tool, mixed, n, seed, preset, exhCap,
-		shardSize, workers, intraWorkers, axiomPolicy, traceVerify)
-	if err != nil {
-		return err
-	}
-
+// runLocal runs the campaign in-process and renders its results.
+func runLocal(spec campaign.Spec, checkpoint string, stdout, stderr io.Writer) error {
 	camp, err := campaign.New(spec)
 	if err != nil {
 		return err
 	}
-	printAxiomFlags(camp.AxiomInfo())
+	printAxiomFlags(stdout, camp.AxiomInfo())
 	testNames := map[string]bool{}
 	for _, job := range camp.Jobs() {
 		testNames[job.Test] = true
 	}
-	fmt.Printf("campaign: %d jobs (%d tests), %d workers",
-		len(camp.Jobs()), len(testNames), spec.Workers)
+	fmt.Fprintf(stdout, "campaign: %d jobs (%d tests)", len(camp.Jobs()), len(testNames))
 	if checkpoint != "" {
-		fmt.Printf(", checkpoint %s", checkpoint)
+		fmt.Fprintf(stdout, ", checkpoint %s", checkpoint)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	metrics := &campaign.Metrics{}
 	done := 0
-	var tvTotals traceTotals
+	var reports []string
 	res, err := camp.Run(ctx, campaign.Options{
 		CheckpointPath: checkpoint,
 		Metrics:        metrics,
 		OnJobDone: func(jr *campaign.JobResult) {
 			done++
 			for _, rep := range jr.TraceReports {
-				if len(tvTotals.reports) < harness.DefaultTraceReports {
-					tvTotals.reports = append(tvTotals.reports, rep)
+				if len(reports) < harness.DefaultTraceReports {
+					reports = append(reports, rep)
 				}
 			}
-			fmt.Fprintf(os.Stderr, "\r%d/%d jobs", done+int(metrics.JobsRestored.Load()), len(camp.Jobs()))
+			fmt.Fprintf(stderr, "\r%d/%d jobs", done+int(metrics.JobsRestored.Load()), len(camp.Jobs()))
 		},
 	})
-	fmt.Fprintln(os.Stderr)
+	fmt.Fprintln(stderr)
 	if res != nil {
-		fmt.Print(res.Render())
+		fmt.Fprint(stdout, res.Render())
 	}
 	if err != nil {
 		if checkpoint != "" {
@@ -238,61 +164,36 @@ func runCampaign(specPath, dir, tool string, mixed bool, n int, seed int64, pres
 		}
 		return err
 	}
-	tvTotals.verified = metrics.TracesVerified.Load()
-	tvTotals.violations = metrics.TraceViolations.Load()
-	if err := tvTotals.report(spec.TraceVerifyEvery()); err != nil {
-		return err
-	}
-	if len(res.Failures) > 0 {
-		return fmt.Errorf("%d job(s) failed", len(res.Failures))
-	}
-	return nil
+	return summarize(stdout, spec.TraceVerifyEvery(), metrics.TracesVerified.Load(),
+		metrics.TraceViolations.Load(), reports, len(res.Failures))
 }
 
-// buildSpec assembles a campaign spec from -spec JSON when given,
-// otherwise from the same flags the sequential path uses.
-func buildSpec(specPath, dir, tool string, mixed bool, n int, seed int64, preset string,
-	exhCap, shardSize, workers, intraWorkers int, axiomPolicy, traceVerify string) (campaign.Spec, error) {
-	if specPath != "" {
-		spec, err := campaign.LoadSpec(specPath)
-		if err == nil && axiomPolicy != "" {
-			spec.Axiom = axiomPolicy
-			err = spec.Validate()
+// summarize prints the witness-trace verification totals when
+// verification is on, and returns the sweep's error: a trace violation
+// is a conformance bug, not a statistic, so it fails the exit status
+// just as a failed job does.
+func summarize(w io.Writer, every int, verified, violations int64, reports []string, failures int) error {
+	if every > 0 {
+		fmt.Fprintf(w, "trace-verify: %d witnesses checked (stride %d), %d violation(s)\n",
+			verified, every, violations)
+		for _, rep := range reports {
+			fmt.Fprintf(w, "\n%s\n", rep)
 		}
-		if err == nil && traceVerify != "" {
-			spec.TraceVerify = traceVerify
-			err = spec.Validate()
+		if violations > 0 {
+			return fmt.Errorf("trace verification found %d violation(s)", violations)
 		}
-		return spec, err
 	}
-	campaignTool := tool
-	if mixed {
-		campaignTool = "mixed"
+	if failures > 0 {
+		return fmt.Errorf("%d job(s) failed", failures)
 	}
-	spec := campaign.Spec{
-		Dir:          dir,
-		Tools:        []string{campaignTool},
-		Presets:      []string{preset},
-		Seed:         seed,
-		Iterations:   n,
-		ShardSize:    shardSize,
-		ExhCap:       exhCap,
-		Workers:      workers,
-		IntraWorkers: intraWorkers,
-		Axiom:        axiomPolicy,
-		TraceVerify:  traceVerify,
-	}
-	if err := spec.Validate(); err != nil {
-		return campaign.Spec{}, err
-	}
-	return spec, nil
+	return nil
 }
 
 // printAxiomFlags surfaces noteworthy static classifications before the
 // sweep starts: rejected tests, unsatisfiable or forbidden targets (a
 // forbidden target means the budget can only ever detect simulator
 // conformance bugs), and tests beyond the exact-enumeration cutoff.
-func printAxiomFlags(info map[string]campaign.TestAxiom) {
+func printAxiomFlags(w io.Writer, info map[string]campaign.TestAxiom) {
 	names := make([]string, 0, len(info))
 	for name := range info {
 		names = append(names, name)
@@ -302,14 +203,14 @@ func printAxiomFlags(info map[string]campaign.TestAxiom) {
 		ta := info[name]
 		switch {
 		case ta.Excluded:
-			fmt.Printf("axiom: %s: target statically rejected (%s); excluded from the sweep\n",
+			fmt.Fprintf(w, "axiom: %s: target statically rejected (%s); excluded from the sweep\n",
 				name, axiomReason(ta))
 		case ta.Unsatisfiable:
-			fmt.Printf("axiom: warn: %s: target is unsatisfiable — no execution can produce it\n", name)
+			fmt.Fprintf(w, "axiom: warn: %s: target is unsatisfiable — no execution can produce it\n", name)
 		case ta.Class == "forbidden":
-			fmt.Printf("axiom: warn: %s: target is forbidden under SC and TSO; iterations can only detect conformance bugs\n", name)
+			fmt.Fprintf(w, "axiom: warn: %s: target is forbidden under SC and TSO; iterations can only detect conformance bugs\n", name)
 		case ta.Note != "":
-			fmt.Printf("axiom: note: %s: %s\n", name, ta.Note)
+			fmt.Fprintf(w, "axiom: note: %s: %s\n", name, ta.Note)
 		}
 	}
 }
@@ -325,7 +226,7 @@ func axiomReason(ta campaign.TestAxiom) string {
 // campaign, polls until fleet workers finish it, and renders the merged
 // results. The test corpus must be resolvable on the server (built-in
 // suite, or a -dir path valid there).
-func runRemote(baseURL string, spec campaign.Spec) error {
+func runRemote(baseURL string, spec campaign.Spec, stdout, stderr io.Writer) error {
 	client := &http.Client{Timeout: 30 * time.Second}
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -348,12 +249,13 @@ func runRemote(baseURL string, spec campaign.Spec) error {
 	if submitted.Error != "" {
 		return fmt.Errorf("server rejected campaign: %s", submitted.Error)
 	}
-	fmt.Printf("campaign %s: %d jobs queued for dispatch at %s — point perple-worker at it\n",
+	fmt.Fprintf(stdout, "campaign %s: %d jobs queued for dispatch at %s — point perple-worker at it\n",
 		submitted.ID, submitted.Jobs, baseURL)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	var tvTotals traceTotals
+	var verified, violations int64
+	var reports []string
 	for {
 		var status struct {
 			State    string `json:"state"`
@@ -373,14 +275,13 @@ func runRemote(baseURL string, spec campaign.Spec) error {
 		if err := getJSON(ctx, client, fmt.Sprintf("%s/campaigns/%s", baseURL, submitted.ID), &status); err != nil {
 			return err
 		}
-		tvTotals.verified = status.Metrics.TracesVerified
-		tvTotals.violations = status.Metrics.TraceViolations
-		tvTotals.reports = status.TraceReports
+		verified, violations = status.Metrics.TracesVerified, status.Metrics.TraceViolations
+		reports = status.TraceReports
 		if d := status.Dispatch; d != nil {
-			fmt.Fprintf(os.Stderr, "\r%d done, %d leased, %d pending", d.Done, d.Leased, d.Pending)
+			fmt.Fprintf(stderr, "\r%d done, %d leased, %d pending", d.Done, d.Leased, d.Pending)
 		}
 		if status.State != "running" {
-			fmt.Fprintln(os.Stderr)
+			fmt.Fprintln(stderr)
 			if status.Error != "" {
 				return fmt.Errorf("campaign %s %s: %s", submitted.ID, status.State, status.Error)
 			}
@@ -388,7 +289,7 @@ func runRemote(baseURL string, spec campaign.Spec) error {
 		}
 		select {
 		case <-ctx.Done():
-			fmt.Fprintln(os.Stderr)
+			fmt.Fprintln(stderr)
 			return ctx.Err()
 		case <-time.After(time.Second):
 		}
@@ -396,7 +297,7 @@ func runRemote(baseURL string, spec campaign.Spec) error {
 
 	// The canonical document is the dispatch layer's determinism surface;
 	// decode it back into an accumulator so the report matches the local
-	// -campaign rendering.
+	// rendering.
 	var doc struct {
 		Groups   []*campaign.GroupResult `json:"groups"`
 		Failures []campaign.JobFailure   `json:"failures"`
@@ -409,14 +310,8 @@ func runRemote(baseURL string, spec campaign.Spec) error {
 		res.Groups[campaign.GroupKey(g.Test, g.Tool, g.Preset)] = g
 	}
 	res.Failures = doc.Failures
-	fmt.Print(res.Render())
-	if err := tvTotals.report(spec.TraceVerifyEvery()); err != nil {
-		return err
-	}
-	if len(res.Failures) > 0 {
-		return fmt.Errorf("%d job(s) failed", len(res.Failures))
-	}
-	return nil
+	fmt.Fprint(stdout, res.Render())
+	return summarize(stdout, spec.TraceVerifyEvery(), verified, violations, reports, len(res.Failures))
 }
 
 func getJSON(ctx context.Context, client *http.Client, url string, out any) error {
@@ -433,137 +328,4 @@ func getJSON(ctx context.Context, client *http.Client, url string, out any) erro
 		return fmt.Errorf("GET %s: %s", url, resp.Status)
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-type rowResult struct {
-	tool   string
-	target int64
-	ticks  int64
-	note   string
-}
-
-func runOne(test *litmus.Test, tool string, mixed bool, n, exhCap int, cfg sim.Config,
-	tvEvery int, tvTotals *traceTotals) (rowResult, error) {
-	convertible := !test.Target.HasMemConds()
-	useTool := tool
-	if mixed {
-		if convertible {
-			useTool = "perple-heur"
-		} else {
-			useTool = "litmus7-user"
-		}
-	}
-
-	if strings.HasPrefix(useTool, "litmus7-") {
-		mode, err := sim.ParseMode(strings.TrimPrefix(useTool, "litmus7-"))
-		if err != nil {
-			return rowResult{}, err
-		}
-		res, err := harness.RunLitmus7(context.Background(), test, n, mode, cfg,
-			harness.Litmus7Options{Verify: harness.TraceVerify{Every: tvEvery}})
-		if err != nil {
-			return rowResult{}, err
-		}
-		row := rowResult{tool: useTool, target: res.TargetCount, ticks: res.Ticks}
-		if tvEvery > 0 {
-			tvTotals.add(res)
-			if res.TraceViolations > 0 {
-				row.note = fmt.Sprintf("%d trace violation(s)", res.TraceViolations)
-			}
-		}
-		return row, nil
-	}
-
-	if !convertible {
-		// PerpLE cannot run final-state targets: fall back, with a note,
-		// exactly as the paper prescribes (Section VII-G).
-		res, err := harness.RunLitmus7(context.Background(), test, n, sim.ModeUser, cfg, harness.Litmus7Options{})
-		if err != nil {
-			return rowResult{}, err
-		}
-		return rowResult{tool: "litmus7-user", target: res.TargetCount, ticks: res.Ticks,
-			note: "not convertible"}, nil
-	}
-
-	pt, err := core.Convert(test)
-	if err != nil {
-		return rowResult{}, err
-	}
-	counter, err := core.NewTargetCounter(pt)
-	if err != nil {
-		return rowResult{}, err
-	}
-	opts := harness.PerpLEOptions{}
-	switch useTool {
-	case "perple-heur":
-		opts.Heuristic = true
-	case "perple-exh":
-		opts.Exhaustive = true
-		if exhCap > 0 {
-			opts.ExhaustiveCap = exhCap
-		}
-	default:
-		return rowResult{}, fmt.Errorf("unknown tool %q", useTool)
-	}
-	res, err := harness.RunPerpLE(context.Background(), pt, counter, n, cfg, opts)
-	if err != nil {
-		return rowResult{}, err
-	}
-	if useTool == "perple-exh" {
-		note := ""
-		if res.ExhaustiveN < n {
-			note = fmt.Sprintf("exh capped at %d", res.ExhaustiveN)
-		}
-		return rowResult{tool: useTool, target: res.Exhaustive.Counts[0],
-			ticks: res.TotalTicksExhaustive(), note: note}, nil
-	}
-	return rowResult{tool: useTool, target: res.Heuristic.Counts[0],
-		ticks: res.TotalTicksHeuristic()}, nil
-}
-
-func toolName(tool string, mixed bool) string {
-	if mixed {
-		return "mixed (PerpLE-heur + litmus7-user)"
-	}
-	return tool
-}
-
-// loadCorpus reads every .litmus file of a directory, or returns the
-// built-in suite plus the non-convertible examples when dir is empty.
-func loadCorpus(dir string) ([]*litmus.Test, error) {
-	if dir == "" {
-		var tests []*litmus.Test
-		for _, e := range litmus.Suite() {
-			tests = append(tests, e.Test)
-		}
-		tests = append(tests, litmus.NonConvertible()...)
-		return tests, nil
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".litmus") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return nil, fmt.Errorf("no .litmus files in %s", dir)
-	}
-	var tests []*litmus.Test
-	for _, name := range names {
-		src, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			return nil, err
-		}
-		test, err := litmus.Parse(string(src))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		tests = append(tests, test)
-	}
-	return tests, nil
 }

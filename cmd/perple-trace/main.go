@@ -24,9 +24,8 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io/fs"
+	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"perple/internal/harness"
@@ -38,7 +37,7 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr *os.File) int {
+func run(args []string, stdout, stderr io.Writer) int {
 	fl := flag.NewFlagSet("perple-trace", flag.ContinueOnError)
 	fl.SetOutput(stderr)
 	suite := fl.Bool("suite", false, "verify the built-in suite instead of files")
@@ -77,21 +76,14 @@ func run(args []string, stdout, stderr *os.File) int {
 	var tests []*litmus.Test
 	switch {
 	case *suite:
-		for _, e := range litmus.Suite() {
-			tests = append(tests, e.Test)
-		}
-		tests = append(tests, litmus.NonConvertible()...)
+		tests = litmus.Builtin()
 	case fl.NArg() == 0:
 		fmt.Fprintln(stderr, "perple-trace: no inputs; pass .litmus files or directories, or -suite")
 		return 2
 	default:
-		for _, arg := range fl.Args() {
-			loaded, err := loadPath(arg)
-			if err != nil {
-				fmt.Fprintf(stderr, "perple-trace: %v\n", err)
-				return 2
-			}
-			tests = append(tests, loaded...)
+		if tests, err = litmus.LoadPaths(fl.Args()...); err != nil {
+			fmt.Fprintf(stderr, "perple-trace: %v\n", err)
+			return 2
 		}
 	}
 
@@ -130,50 +122,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 1
 	}
 	return 0
-}
-
-// loadPath parses one .litmus file or every .litmus file under a
-// directory.
-func loadPath(path string) ([]*litmus.Test, error) {
-	info, err := os.Stat(path)
-	if err != nil {
-		return nil, err
-	}
-	if !info.IsDir() {
-		t, err := loadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return []*litmus.Test{t}, nil
-	}
-	var tests []*litmus.Test
-	err = filepath.WalkDir(path, func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() || !strings.HasSuffix(p, ".litmus") {
-			return nil
-		}
-		t, err := loadFile(p)
-		if err != nil {
-			return err
-		}
-		tests = append(tests, t)
-		return nil
-	})
-	return tests, err
-}
-
-func loadFile(path string) (*litmus.Test, error) {
-	src, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	t, err := litmus.Parse(string(src))
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return t, nil
 }
 
 func indent(s string) string {

@@ -18,6 +18,9 @@
 //	curl -X POST 'localhost:8077/campaigns?mode=dispatch' -d @spec.json   # → {"id":"c1",...}
 //	perple-worker -server http://localhost:8077 -campaign c1
 //	perple-worker -server http://host:8077 -campaign c1 -parallel 8 -name rack2-a
+//
+// Exit status: 0 after the campaign is drained or the worker is
+// stopped, 1 a worker error, 2 usage.
 package main
 
 import (
@@ -25,6 +28,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -35,29 +39,31 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
-		fmt.Fprintf(os.Stderr, "perple-worker: %v\n", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() error {
-	server := flag.String("server", "http://localhost:8077", "perple-serve base URL")
-	campaignID := flag.String("campaign", "", "dispatch campaign id to work on (required)")
-	name := flag.String("name", "", "worker name for lease accounting (default: hostname-pid)")
-	parallel := flag.Int("parallel", 0, "concurrent jobs (default: GOMAXPROCS)")
-	leaseBatch := flag.Int("lease-batch", 0, "jobs pulled per lease call (default: -parallel)")
-	heartbeat := flag.Duration("heartbeat", 0, "lease heartbeat period (default: a third of the server's lease TTL)")
-	retries := flag.Int("retries", 5, "attempts per HTTP call before giving up")
-	backoff := flag.Duration("backoff", 200*time.Millisecond, "base retry backoff (doubles per attempt, jittered)")
-	breakerFailures := flag.Int("breaker-failures", campaign.DefaultBreakerThreshold, "consecutive HTTP failures that open the circuit breaker")
-	breakerCooldown := flag.Duration("breaker-cooldown", campaign.DefaultBreakerCooldown, "how long an open circuit holds requests off")
-	recoveryWindow := flag.Duration("recovery-window", 0, "keep retrying transport errors and 5xx this long even past -retries, to ride out a server restart (0 disables)")
-	flag.Parse()
-
-	if *campaignID == "" {
-		return errors.New("-campaign is required")
+func run(args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("perple-worker", flag.ContinueOnError)
+	fl.SetOutput(stderr)
+	server := fl.String("server", "http://localhost:8077", "perple-serve base URL")
+	campaignID := fl.String("campaign", "", "dispatch campaign id to work on (required)")
+	name := fl.String("name", "", "worker name for lease accounting (default: hostname-pid)")
+	parallel := fl.Int("parallel", 0, "concurrent jobs (default: GOMAXPROCS)")
+	leaseBatch := fl.Int("lease-batch", 0, "jobs pulled per lease call (default: -parallel)")
+	heartbeat := fl.Duration("heartbeat", 0, "lease heartbeat period (default: a third of the server's lease TTL)")
+	retries := fl.Int("retries", 5, "attempts per HTTP call before giving up")
+	backoff := fl.Duration("backoff", 200*time.Millisecond, "base retry backoff (doubles per attempt, jittered)")
+	breakerFailures := fl.Int("breaker-failures", campaign.DefaultBreakerThreshold, "consecutive HTTP failures that open the circuit breaker")
+	breakerCooldown := fl.Duration("breaker-cooldown", campaign.DefaultBreakerCooldown, "how long an open circuit holds requests off")
+	recoveryWindow := fl.Duration("recovery-window", 0, "keep retrying transport errors and 5xx this long even past -retries, to ride out a server restart (0 disables)")
+	if err := fl.Parse(args); err != nil {
+		return 2
 	}
+	if *campaignID == "" {
+		fmt.Fprintln(stderr, "perple-worker: -campaign is required")
+		return 2
+	}
+	logger := log.New(stderr, "", log.LstdFlags)
 
 	w := campaign.NewWorker(campaign.WorkerOptions{
 		BaseURL:          *server,
@@ -77,21 +83,23 @@ func run() error {
 	defer cancel()
 	sigs := make(chan os.Signal, 2)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigs)
 	go func() {
 		<-sigs
-		log.Printf("draining: finishing in-flight jobs (signal again to abort)")
+		logger.Printf("draining: finishing in-flight jobs (signal again to abort)")
 		w.Drain()
 		<-sigs
-		log.Printf("aborting: held leases will expire and requeue")
+		logger.Printf("aborting: held leases will expire and requeue")
 		cancel()
 	}()
 
 	start := time.Now()
 	err := w.Run(ctx)
-	log.Printf("worker done: %d jobs completed, %d failed, %s elapsed",
+	logger.Printf("worker done: %d jobs completed, %d failed, %s elapsed",
 		w.JobsCompleted.Load(), w.JobsFailed.Load(), time.Since(start).Round(time.Millisecond))
-	if errors.Is(err, context.Canceled) {
-		return nil
+	if err != nil && !errors.Is(err, context.Canceled) {
+		fmt.Fprintf(stderr, "perple-worker: %v\n", err)
+		return 1
 	}
-	return err
+	return 0
 }

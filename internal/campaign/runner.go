@@ -12,8 +12,8 @@ import (
 )
 
 // runJob executes one shard end to end: it resolves the tool (PerpLE
-// falls back to litmus7-user for non-convertible targets, like
-// cmd/perple-suite and Section VII-G), seeds the simulator with the
+// falls back to litmus7-user for non-convertible targets, as Section
+// VII-G prescribes), seeds the simulator with the
 // job's deterministic shard seed, runs, and extracts the mergeable
 // result. Cancellation propagates into the simulated run and the
 // counters through ctx.

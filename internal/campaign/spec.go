@@ -8,7 +8,7 @@
 //
 // The same scheduler backs both cmd/perple-serve (an HTTP service with
 // submit/status/results/cancel endpoints plus health and metrics) and
-// the -campaign path of cmd/perple-suite.
+// every local sweep of cmd/perple-suite.
 package campaign
 
 import (
@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"strconv"
@@ -32,8 +31,9 @@ type Spec struct {
 	// Name labels the campaign in checkpoints and server listings.
 	Name string `json:"name,omitempty"`
 
-	// Dir is a directory of .litmus files; empty selects the built-in
-	// Table II suite plus the non-convertible examples.
+	// Dir is a directory of .litmus files, searched recursively; empty
+	// selects the built-in Table II suite plus the non-convertible
+	// examples.
 	Dir string `json:"dir,omitempty"`
 
 	// Tests, when non-empty, restricts the corpus to these test names.
@@ -242,34 +242,24 @@ func LoadSpec(path string) (Spec, error) {
 	return ParseSpec(data)
 }
 
-// Corpus resolves the spec's test set: the built-in suite or a directory
-// of .litmus files, optionally filtered by Tests, sorted by name so job
-// expansion is deterministic.
+// Corpus resolves the spec's test set through the litmus corpus loader:
+// the built-in corpus or every .litmus file under Dir (recursively),
+// optionally filtered by Tests, sorted by name so job expansion is
+// deterministic.
 func (s *Spec) Corpus() ([]*litmus.Test, error) {
-	var tests []*litmus.Test
-	if s.Dir == "" {
-		for _, e := range litmus.Suite() {
-			tests = append(tests, e.Test)
-		}
-		tests = append(tests, litmus.NonConvertible()...)
-	} else {
-		entries, err := os.ReadDir(s.Dir)
+	tests := litmus.Builtin()
+	if s.Dir != "" {
+		// Dir must name a directory: a spec can arrive over HTTP, and a
+		// named file's parse error would echo its first line back.
+		info, err := os.Stat(s.Dir)
 		if err != nil {
 			return nil, err
 		}
-		for _, e := range entries {
-			if e.IsDir() || !strings.HasSuffix(e.Name(), ".litmus") {
-				continue
-			}
-			src, err := os.ReadFile(filepath.Join(s.Dir, e.Name()))
-			if err != nil {
-				return nil, err
-			}
-			test, err := litmus.Parse(string(src))
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", e.Name(), err)
-			}
-			tests = append(tests, test)
+		if !info.IsDir() {
+			return nil, fmt.Errorf("campaign: dir %s is not a directory", s.Dir)
+		}
+		if tests, err = litmus.LoadPaths(s.Dir); err != nil {
+			return nil, err
 		}
 	}
 	if len(s.Tests) > 0 {

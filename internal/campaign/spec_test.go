@@ -1,8 +1,13 @@
 package campaign
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+
+	"perple/internal/litmus"
 )
 
 func TestSpecDefaults(t *testing.T) {
@@ -144,5 +149,42 @@ func TestCorpusRejectsUnknownTestFilter(t *testing.T) {
 	}
 	if _, err := spec.Corpus(); err == nil {
 		t.Fatal("unknown test name accepted")
+	}
+}
+
+func TestCorpusDirIsRecursiveAndMustBeADirectory(t *testing.T) {
+	dir := t.TempDir()
+	sub := filepath.Join(dir, "nested")
+	if err := os.Mkdir(sub, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"sb", "mp"} {
+		test, err := litmus.SuiteTest(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		where := dir
+		if name == "mp" {
+			where = sub
+		}
+		if err := os.WriteFile(filepath.Join(where, name+".litmus"), []byte(litmus.Format(test)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spec := Spec{Dir: dir}
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	tests, err := spec.Corpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tests) != 2 || tests[0].Name != "mp" || tests[1].Name != "sb" {
+		t.Fatalf("corpus = %v, want [mp sb]", tests)
+	}
+
+	spec.Dir = filepath.Join(dir, "sb.litmus")
+	if _, err := spec.Corpus(); err == nil || !strings.Contains(err.Error(), "not a directory") {
+		t.Fatalf("a file as Dir: err = %v, want a not-a-directory error", err)
 	}
 }
